@@ -7,12 +7,14 @@ by replaying the generic object-level checks over a symbolic polynomial ring
 (:mod:`baxter._poly`), so this module never re-derives any mathematics -- it
 only evaluates.
 
-Evaluation walks a contiguous range of big-endian base-q tensor encodings in
-chunks, extracts per-variable digit arrays, folds each monomial through
-precomputed q-by-q multiplication tables (with the coefficient fused into the
-first pairwise product), and compresses the candidate set to the survivors
-after every polynomial.  Characteristic 2 accumulates with XOR; other
-characteristics go through an addition table.
+Evaluation grows big-endian prefixes of the tensor encodings one variable
+at a time over a numpy frontier of surviving prefixes and their digits.
+Each polynomial is folded through precomputed q-by-q multiplication tables
+(with the coefficient fused into the first pairwise product) as soon as its
+highest variable is assigned, and the frontier is compressed to the
+survivors; once no polynomial is left, the remaining digits are free and
+whole encoding ranges are emitted.  Characteristic 2 accumulates with XOR;
+other characteristics go through an addition table.
 """
 from __future__ import annotations
 
@@ -116,33 +118,21 @@ def _fold_table(tables: dict, coeff: int) -> np.ndarray:
     return tab
 
 
-def _decode_digits(codes: np.ndarray, q: int, nvars: int) -> np.ndarray:
-    """Per-variable digit arrays of big-endian base-q encodings."""
-    digits = np.empty((nvars, codes.size), dtype=np.uint8)
-    if q & (q - 1) == 0:
-        e = q.bit_length() - 1
-        mask = np.uint64(q - 1)
-        for v in range(nvars):
-            shift = np.uint64(e * (nvars - 1 - v))
-            digits[v] = ((codes >> shift) & mask).astype(np.uint8)
-        return digits
-    tmp = codes.copy()
-    qq = np.uint64(q)
-    for v in range(nvars - 1, -1, -1):
-        digits[v] = (tmp % qq).astype(np.uint8)
-        tmp //= qq
-    return digits
+def _levels(system: CompiledSystem) -> list[list]:
+    """Polys grouped by the prefix depth at which their last variable is
+    assigned (depth 0 holds constant polys)."""
+    levels = [[] for _ in range(system.nvars + 1)]
+    for poly in system.polys:
+        top = max((v for _, vs in poly for v in vs), default=-1)
+        levels[top + 1].append(poly)
+    return levels
 
 
-def _eval_block(
-    system: CompiledSystem, tables: dict, codes: np.ndarray
-) -> np.ndarray:
-    """Survivor encodings (ascending) of one contiguous candidate block."""
-    digits = _decode_digits(codes, tables["q"], system.nvars)
+def _prune(polys, tables: dict, char2: bool, codes, digits):
+    """Keep the prefixes on which every poly in ``polys`` vanishes."""
     mul = tables["mul"]
     add = tables["add"]
-    char2 = system.p == 2
-    for poly in system.polys:
+    for poly in polys:
         if codes.size == 0:
             break
         acc = np.zeros(codes.size, dtype=np.uint8)
@@ -159,10 +149,29 @@ def _eval_block(
                 acc ^= val
             else:
                 acc = add[acc, val]
-        keep = acc == 0
+        keep = np.flatnonzero(acc == 0)
         codes = codes[keep]
         digits = digits[:, keep]
-    return codes
+    return codes, digits
+
+
+def _ranges(codes: np.ndarray, width: int, start: int, stop: int):
+    """Every encoding under the given prefixes, clipped to ``[start, stop)``.
+
+    The prefixes are ascending and each one's subtree meets the range, so
+    only the first and last subtree can be cut.
+    """
+    if width == 1:
+        return codes
+    lo = codes * np.uint64(width)
+    hi = lo + np.uint64(width)
+    lo[0] = max(int(lo[0]), start)
+    hi[-1] = min(int(hi[-1]), stop)
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    out = np.arange(int(ends[-1]), dtype=np.uint64)
+    out += np.repeat(lo - (ends - sizes), sizes.astype(np.intp))
+    return out
 
 
 def solutions_in_range(
@@ -173,16 +182,57 @@ def solutions_in_range(
 ) -> np.ndarray:
     """All encodings in ``[start, stop)`` satisfying every polynomial.
 
-    Returns a sorted ``uint64`` array.  Walking a range in chunks keeps peak
-    memory at ``O(chunk * nvars)`` bytes regardless of range size.
+    Returns a sorted ``uint64`` array.  Variables are assigned one at a time
+    in big-endian order over a frontier of surviving prefixes; each poly
+    prunes the frontier as soon as its last variable is assigned, and once
+    no poly is left the remaining digits are emitted as whole ranges.  A
+    frontier whose next expansion would exceed ``chunk`` candidates is
+    halved first and the halves are grown depth first, so peak memory stays
+    ``O(max(chunk, q) * nvars)`` bytes plus the output, however large the
+    range (a single prefix always expands to its ``q`` children).
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
+    tables = _tables(system)
+    q = tables["q"]
+    n = system.nvars
+    start = max(start, 0)
+    stop = min(stop, q ** n)
+    if start >= stop:
+        return np.empty(0, dtype=np.uint64)
+    char2 = system.p == 2
+    levels = _levels(system)
+    last = max((d for d, polys in enumerate(levels) if polys), default=0)
+    digit_row = np.arange(q, dtype=np.uint8)
     parts = []
-    for cs in range(start, stop, chunk):
-        ce = min(cs + chunk, stop)
-        codes = np.arange(cs, ce, dtype=np.uint64)
-        parts.append(_eval_block(system, _tables(system), codes))
+    stack = [(0,) + _prune(
+        levels[0], tables, char2,
+        np.zeros(1, dtype=np.uint64), np.empty((0, 1), dtype=np.uint8),
+    )]
+    while stack:
+        depth, codes, digits = stack.pop()
+        while codes.size and depth < last:
+            size = codes.size
+            if size * q > chunk and size > 1:
+                half = size // 2
+                stack.append((depth, codes[half:], digits[:, half:]))
+                codes, digits = codes[:half], digits[:, :half]
+                continue
+            grown = np.empty((depth + 1, size, q), dtype=np.uint8)
+            grown[:depth] = digits[:, :, None]
+            grown[depth] = digit_row
+            digits = grown.reshape(depth + 1, size * q)
+            codes = (codes[:, None] * np.uint64(q) + digit_row).ravel()
+            depth += 1
+            width = q ** (n - depth)
+            lo, hi = start // width, -(-stop // width)
+            if codes[0] < lo or codes[-1] >= hi:
+                i = codes.searchsorted(np.uint64(lo))
+                j = codes.searchsorted(np.uint64(hi))
+                codes, digits = codes[i:j], digits[:, i:j]
+            codes, digits = _prune(levels[depth], tables, char2, codes, digits)
+        if codes.size:
+            parts.append(_ranges(codes, q ** (n - depth), start, stop))
     if not parts:
         return np.empty(0, dtype=np.uint64)
     return np.concatenate(parts)

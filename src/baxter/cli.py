@@ -201,16 +201,17 @@ def _cmd_enumerate(args) -> int:
             chunk=args.chunk,
             workers=args.workers,
             keep_solutions=True,
+            limit=args.limit,
         )
     )
-    solutions = report.solutions or []
-    limit = args.limit if args.limit is not None else len(solutions)
+    count = report.predicate_count
+    limit = args.limit if args.limit is not None else count
     listed = [
         {
             "encoding": code,
             "tensor": Tensor2.decode(algebra.field, algebra.dim, code).literal(),
         }
-        for code in solutions[:limit]
+        for code in report.solutions
     ]
     payload = report.to_dict()
     payload["solutions"] = listed
@@ -227,8 +228,8 @@ def _cmd_enumerate(args) -> int:
     lines.extend(
         f"  {item['encoding']}: {item['tensor']}" for item in listed
     )
-    if limit < len(solutions):
-        lines.append(f"  ... ({len(solutions) - limit} more)")
+    if limit < count:
+        lines.append(f"  ... ({count - limit} more)")
     csv_row = {
         "algebra": report.algebra,
         "field": report.field,
@@ -409,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chunk", type=int, default=1 << 20,
-        help="candidates per work chunk",
+        help="max candidates per expansion step (memory bound;"
+        " default 2^20)",
     )
     p.set_defaults(fn=_cmd_enumerate)
 

@@ -18,18 +18,26 @@ step by construction and cross-checked in the test suite:
   generic code over a polynomial ring and hands the frozen system to the
   vectorized evaluator in :mod:`baxter._kernel`.
 
-Sweeps are deterministic: candidates are processed in ascending encoding
-order in fixed-size chunks, and chunk results are merged in order, so the
-report is identical for any worker count.  Worker processes are used when
-``workers > 1`` (default from the ``YBE_WORKERS`` environment variable).
+Sweeps are deterministic: a sweep larger than its ``chunk`` is cut into a
+fixed number of equal encoding ranges whatever the worker count, each range
+yields its survivors in ascending order, and the ranges are joined in
+order, so the report is identical for any worker count or chunk size.  With
+``workers > 1`` (default from the ``YBE_WORKERS`` environment variable) the
+calling process and ``workers - 1`` helper processes, started on first use
+and kept for later sweeps, share the ranges.
 """
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import signal
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+import traceback
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import bialgebra, ybe
 from ._kernel import CompiledSystem, compile_polys, solutions_in_range
@@ -307,7 +315,12 @@ def resolve_workers(explicit: int | None = None) -> int:
 
 @dataclass
 class SweepSpec:
-    """What to sweep: an algebra, a predicate, and an optional classifier."""
+    """What to sweep: an algebra, a predicate, and an optional classifier.
+
+    ``chunk`` bounds the candidates the kernel holds in one expansion step
+    (memory); it never changes the report.  ``limit`` caps the solutions
+    ``keep_solutions`` keeps to the smallest ``limit`` encodings.
+    """
 
     algebra: object
     predicate: str
@@ -316,16 +329,172 @@ class SweepSpec:
     chunk: int = 1 << 20
     workers: int | None = None
     keep_solutions: bool = False
+    limit: int | None = None
 
 
-def _run_chunk(args):
-    pred_sys, class_sys, start, stop = args
-    pred = solutions_in_range(pred_sys, start, stop, chunk=stop - start)
-    out_pred = pred.tolist()
+# A sweep larger than ``chunk`` is cut into this many equal encoding ranges
+# whatever the worker count, and the ranges' results are joined in order.
+_BLOCKS = 32
+
+
+def _solve_block(task, index: int):
+    pred_sys, class_sys, bounds, chunk = task
+    start, stop = bounds[index], bounds[index + 1]
+    pred = solutions_in_range(pred_sys, start, stop, chunk)
     if class_sys is None:
-        return out_pred, None
-    cls = solutions_in_range(class_sys, start, stop, chunk=stop - start)
-    return out_pred, cls.tolist()
+        return pred, None
+    return pred, solutions_in_range(class_sys, start, stop, chunk)
+
+
+def _take(counter) -> int:
+    with counter.get_lock():
+        index = counter.value
+        counter.value = index + 1
+    return index
+
+
+def _running_cpu(pid: int) -> int:
+    """The CPU ``pid`` last ran on (Linux ``/proc/<pid>/stat`` field 39)."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[36])
+
+
+def _leave_cpu_of(parent: int) -> None:
+    """Move this helper off the caller's CPU if the wake-up put it there.
+
+    Linux places a task woken through a pipe on the waker's CPU, and the
+    load balancer can take about a second to split the pair again, so a
+    sub-second sweep would run both participants on one CPU.  Narrowing
+    the affinity for a moment migrates the helper; restoring it at once
+    leaves the scheduler free afterwards.
+    """
+    try:
+        allowed = os.sched_getaffinity(0)
+        cpu = _running_cpu(parent)
+        if len(allowed) < 2 or _running_cpu(os.getpid()) != cpu:
+            return
+        os.sched_setaffinity(0, allowed - {cpu})
+        os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError, ValueError, IndexError):
+        pass  # no affinity control or no /proc here: leave placement alone
+
+
+def _helper_main(conn, counter, parent: int) -> None:
+    """Helper process loop: one reply per task until the caller goes away.
+
+    Ctrl-C reaches the whole process group; the caller handles it and stops
+    its helpers, so a helper ignores it instead of printing a traceback.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        while not conn.poll(1.0):
+            if os.getppid() != parent:
+                return
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        _leave_cpu_of(parent)
+        try:
+            nblocks = len(task[2]) - 1
+            done = []
+            while (index := _take(counter)) < nblocks:
+                done.append((index, _solve_block(task, index)))
+            conn.send((True, done))
+        except Exception:
+            conn.send((False, traceback.format_exc()))
+
+
+class _Helpers:
+    """Worker processes kept alive across sweeps.
+
+    For each sweep the caller hands its task to ``workers - 1`` helpers;
+    they and the caller then take block indices off one shared counter until
+    none is left, so the caller never idles while blocks remain and a slow
+    participant holds up at most one block.  Where the platform can fork,
+    helpers are forked, as the process pool they replace was on Linux, so
+    scripts without a ``__main__`` guard keep working; baxter starts no
+    threads that a fork could catch holding a lock.
+    """
+
+    def __init__(self):
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else None
+        )
+        self._counter = self._ctx.Value("q", 0)
+        self._procs = []
+        self._conns = []
+
+    def grow(self, count: int) -> None:
+        while len(self._procs) < count:
+            here, there = self._ctx.Pipe()
+            proc = self._ctx.Process(
+                target=_helper_main,
+                args=(there, self._counter, os.getpid()),
+                daemon=True,
+            )
+            proc.start()
+            there.close()
+            self._procs.append(proc)
+            self._conns.append(here)
+
+    def run(self, task, count: int) -> list:
+        nblocks = len(task[2]) - 1
+        conns = self._conns[:count]
+        with self._counter.get_lock():
+            self._counter.value = 0
+        results = [None] * nblocks
+        try:
+            for conn in conns:
+                conn.send(task)
+            while (index := _take(self._counter)) < nblocks:
+                results[index] = _solve_block(task, index)
+            for conn in conns:
+                ok, done = conn.recv()
+                if not ok:
+                    raise RuntimeError(f"sweep helper failed:\n{done}")
+                for index, result in done:
+                    results[index] = result
+        except BaseException:
+            # replies still in flight would answer the next sweep
+            self.close()
+            raise
+        return results
+
+    def close(self) -> None:
+        """Stop every helper; the next ``grow`` starts fresh ones."""
+        for conn in self._conns:
+            conn.close()
+        for proc in self._procs:
+            proc.terminate()
+            proc.join()
+        self._procs, self._conns = [], []
+
+
+_HELPERS: _Helpers | None = None
+_HELPERS_LOCK = threading.Lock()  # one sweep at a time on the helpers
+
+
+def _helpers(count: int) -> _Helpers:
+    """The process-wide helpers, started on first use, at least ``count``."""
+    global _HELPERS
+    if _HELPERS is None:
+        _HELPERS = _Helpers()
+    _HELPERS.grow(count)
+    return _HELPERS
+
+
+def _solve(pred_sys, class_sys, total: int, chunk: int, workers: int):
+    """Per-block ``(pred, class)`` survivor arrays covering ``[0, total)``."""
+    if total <= chunk:
+        return [_solve_block((pred_sys, class_sys, (0, total), chunk), 0)]
+    bounds = tuple(total * k // _BLOCKS for k in range(_BLOCKS + 1))
+    task = (pred_sys, class_sys, bounds, chunk)
+    if workers == 1:
+        return [_solve_block(task, index) for index in range(_BLOCKS)]
+    with _HELPERS_LOCK:
+        return _helpers(workers - 1).run(task, workers - 1)
 
 
 @dataclass
@@ -405,60 +574,35 @@ def sweep(spec: SweepSpec) -> SolutionReport:
             ring, build_selector_system(algebra, spec.classifier, ring)
         )
     workers = resolve_workers(spec.workers)
-    jobs = [
-        (pred_sys, class_sys, s, min(s + spec.chunk, total))
-        for s in range(0, total, spec.chunk)
-    ]
     t0 = time.perf_counter()
-    if workers == 1 or len(jobs) == 1:
-        results = [_run_chunk(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_chunk, jobs))
+    parts = _solve(pred_sys, class_sys, total, spec.chunk, workers)
     duration_ms = (time.perf_counter() - t0) * 1000.0
 
-    pred_solutions: list[int] = []
-    class_solutions: list[int] = []
-    for pr, cl in results:
-        pred_solutions.extend(pr)
-        if cl is not None:
-            class_solutions.extend(cl)
-
-    if spec.classifier is None:
+    pred = np.concatenate([pr for pr, _ in parts])
+    if class_sys is None:
         classifier_count = None
-        pred_only: list[int] = []
-        class_only: list[int] = []
+        pred_only = class_only = pred[:0]
         agreement = None
     else:
-        pred_set = set(pred_solutions)
-        class_set = set(class_solutions)
-        classifier_count = len(class_solutions)
-        pred_only = [e for e in pred_solutions if e not in class_set]
-        class_only = [e for e in class_solutions if e not in pred_set]
-        agreement = not pred_only and not class_only
+        cls = np.concatenate([cl for _, cl in parts])
+        classifier_count = int(cls.size)
+        pred_only = np.setdiff1d(pred, cls, assume_unique=True)
+        class_only = np.setdiff1d(cls, pred, assume_unique=True)
+        agreement = not pred_only.size and not class_only.size
 
-    counterexamples = []
-    pi = ci = 0
-    while (
-        len(counterexamples) < COUNTEREXAMPLE_CAP
-        and (pi < len(pred_only) or ci < len(class_only))
-    ):
-        take_pred = ci >= len(class_only) or (
-            pi < len(pred_only) and pred_only[pi] < class_only[ci]
-        )
-        code = pred_only[pi] if take_pred else class_only[ci]
-        if take_pred:
-            pi += 1
-        else:
-            ci += 1
-        counterexamples.append(
-            {
-                "encoding": code,
-                "tensor": Tensor2.decode(f, n, code).literal(),
-                "predicate": take_pred,
-                "classifier": not take_pred,
-            }
-        )
+    candidates = sorted(
+        [(code, True) for code in pred_only[:COUNTEREXAMPLE_CAP].tolist()]
+        + [(code, False) for code in class_only[:COUNTEREXAMPLE_CAP].tolist()]
+    )[:COUNTEREXAMPLE_CAP]
+    counterexamples = [
+        {
+            "encoding": code,
+            "tensor": Tensor2.decode(f, n, code).literal(),
+            "predicate": in_pred,
+            "classifier": not in_pred,
+        }
+        for code, in_pred in candidates
+    ]
 
     params = algebra.params.as_dict() if algebra.params else {}
     return SolutionReport(
@@ -469,14 +613,16 @@ def sweep(spec: SweepSpec) -> SolutionReport:
         algebra=algebra.label,
         params=params,
         total=total,
-        predicate_count=len(pred_solutions),
+        predicate_count=int(pred.size),
         classifier_count=classifier_count,
-        pred_only_count=len(pred_only),
-        class_only_count=len(class_only),
+        pred_only_count=int(pred_only.size),
+        class_only_count=int(class_only.size),
         agreement=agreement,
         counterexamples=counterexamples,
         duration_ms=duration_ms,
-        solutions=pred_solutions if spec.keep_solutions else None,
+        solutions=(
+            pred[:spec.limit].tolist() if spec.keep_solutions else None
+        ),
     )
 
 

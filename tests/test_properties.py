@@ -1,0 +1,119 @@
+"""Property tests: the compiled kernel against the reference evaluator, and
+sweeps across worker counts, over random algebras in every characteristic.
+
+Lie algebras are drawn as ``span(u, v) x| w`` (an abelian plane on which
+``w`` acts by a random matrix, which satisfies Jacobi for every matrix) in
+dimension 3 and as ``[e1, e2] = a e1 + b e2`` in dimension 2.  Associative
+algebras are ``GF(q)[x]/(x^n - ...)`` with random coefficients, or the upper
+triangular 2x2 matrices.  Every draw goes through the library's validators.
+"""
+import itertools
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from baxter import SweepSpec, compile_selector, field, sweep
+from baxter.algebra import StructureConstants, assoc_validate, lie_validate
+from baxter._kernel import evaluate_code, solutions_in_range
+
+# (p, m, modulus) for q in {2, 3, 4, 5, 7, 8, 9}
+FIELDS = (
+    (2, 1, None), (3, 1, None), (2, 2, 0b111), (5, 1, None), (7, 1, None),
+    (2, 3, 0b1011), (3, 2, 10),  # GF(9) = GF(3)[x]/(x^2 + 1)
+)
+LIE_SELECTORS = (
+    "cybe", "coboundary", "triangular", "symmetric", "strongly-symmetric",
+    "im-one-minus-tau",
+)
+CHUNKS = (1, 7, 1 << 20)
+
+_settings = settings(
+    max_examples=100, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _lie(draw, f, dim):
+    def el():
+        return f.element(draw(st.integers(0, f.q - 1)))
+
+    if dim == 2:
+        terms = {(0, 1): {0: el(), 1: el()}}
+    else:
+        # w = e[t] acts on the plane e[u], e[v] by the matrix A
+        t, u, v = draw(st.permutations(range(3)))
+        a = [[el() for _ in range(2)] for _ in range(2)]
+        terms = {}
+        for col, src in enumerate((u, v)):
+            terms[(t, src)] = {u: a[0][col], v: a[1][col]}
+    for (i, j), row in list(terms.items()):
+        terms[(j, i)] = {k: -c for k, c in row.items()}
+    sc = StructureConstants.from_terms(f, dim, terms)
+    return lie_validate(sc, label="random-lie")
+
+
+def _assoc(draw, f, dim):
+    if dim == 3 and draw(st.booleans()):
+        # upper triangular 2x2 matrices: E11, E12, E22
+        terms = {(0, 0): {0: f.one()}, (0, 1): {1: f.one()},
+                 (1, 2): {1: f.one()}, (2, 2): {2: f.one()}}
+    else:
+        # basis 1, x, ..., x^(dim-1) with x^dim = sum c_k x^k
+        c = [f.element(draw(st.integers(0, f.q - 1))) for _ in range(dim)]
+        power = [[f.one() if k == i else f.zero() for k in range(dim)]
+                 for i in range(dim)]
+        top = list(c)
+        for _ in range(dim - 1):
+            power.append(top)
+            shifted = [f.zero()] + top[:-1]
+            top = [shifted[k] + top[-1] * c[k] for k in range(dim)]
+        terms = {
+            (i, j): {k: power[i + j][k] for k in range(dim)}
+            for i in range(dim) for j in range(dim)
+        }
+    sc = StructureConstants.from_terms(f, dim, terms)
+    return assoc_validate(sc, label="random-assoc")
+
+
+@st.composite
+def algebras(draw, max_total=None):
+    """(algebra, selector) over a random field, dim 2 or 3."""
+    p, m, modulus = draw(st.sampled_from(FIELDS))
+    f = field(p, m, modulus)
+    dims = [d for d in (2, 3)
+            if max_total is None or f.q ** (d * d) <= max_total]
+    dim = draw(st.sampled_from(dims))
+    if draw(st.booleans()):
+        return _assoc(draw, f, dim), "qybe"
+    return _lie(draw, f, dim), draw(st.sampled_from(LIE_SELECTORS))
+
+
+@_settings
+@given(data=st.data())
+def test_kernel_matches_reference_evaluator(data):
+    algebra, name = data.draw(algebras())
+    system = compile_selector(algebra, name)
+    total = system.order ** system.nvars
+    start = data.draw(st.integers(0, total - 1))
+    stop = data.draw(st.integers(start, min(total, start + 1500)))
+    chunk = data.draw(st.sampled_from(CHUNKS))
+    got = solutions_in_range(system, start, stop, chunk).tolist()
+    want = [c for c in range(start, stop) if evaluate_code(system, c)]
+    assert got == want
+
+
+@settings(_settings, max_examples=30)
+@given(
+    data=st.data(),
+    order=st.sampled_from(list(itertools.permutations((1, 2, 3)))),
+)
+def test_sweep_identical_across_worker_counts(data, order):
+    algebra, name = data.draw(algebras(max_total=1 << 13))
+    chunk = data.draw(st.sampled_from(CHUNKS))
+    canon = {
+        workers: sweep(SweepSpec(
+            algebra=algebra, predicate=name, classifier="symmetric",
+            chunk=chunk, workers=workers, keep_solutions=True,
+        )).canonical_json()
+        for workers in order
+    }
+    assert canon[1] == canon[2] == canon[3]

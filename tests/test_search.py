@@ -214,3 +214,92 @@ def test_sweep_symmetric_selector_counts(f2):
     assert rep.predicate_count == 8  # q^(n(n+1)/2)
     rep = sweep(SweepSpec(algebra=L, predicate="im-one-minus-tau"))
     assert rep.predicate_count == 2  # q^(n(n-1)/2)
+
+
+def test_sweep_keep_solutions_limit(f2):
+    L = make_family_ab(f2, f2.zero(), f2.zero())
+    full = sweep(SweepSpec(algebra=L, predicate="cybe", keep_solutions=True))
+    capped = sweep(SweepSpec(algebra=L, predicate="cybe",
+                             keep_solutions=True, limit=3))
+    assert capped.solutions == full.solutions[:3]
+    assert capped.predicate_count == full.predicate_count == 56
+
+
+def test_sweep_memory_bounded_by_chunk(f8):
+    # A frontier entry is an 8-byte code plus one digit byte per variable,
+    # and one expansion step holds at most ``chunk`` of them; the factor 3
+    # covers the step's temporaries (index arrays, pruned copies, pending
+    # halves).  The 32,768 solutions are held twice while the ranges are
+    # joined.  Without the halving, a range's 65,536-entry frontier would
+    # pass this bound.
+    import tracemalloc
+
+    L = make_family_ab(f8, f8.one(), f8.one())
+    chunk = 1 << 14
+    tracemalloc.start()
+    try:
+        small = sweep(SweepSpec(algebra=L, predicate="cybe", chunk=chunk,
+                                workers=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * chunk * (9 + 8) + 2 * 8 * 32768
+    whole = sweep(SweepSpec(algebra=L, predicate="cybe", chunk=1 << 20,
+                            workers=1))
+    assert small.canonical_json() == whole.canonical_json()
+
+
+def test_sweep_within_one_chunk_starts_no_helpers(f2, monkeypatch):
+    from baxter import search
+
+    def refuse(count):
+        raise AssertionError("a sweep of total <= chunk started helpers")
+
+    monkeypatch.setattr(search, "_helpers", refuse)
+    L = make_family_ab(f2, f2.zero(), f2.zero())
+    rep = sweep(SweepSpec(algebra=L, predicate="cybe", workers=2))
+    assert rep.predicate_count == 56
+
+
+def test_sweep_more_workers_than_cores(f4):
+    # Every participant takes blocks off one shared counter; a lost or
+    # doubled update would drop or repeat a block and change the report.
+    import os
+    import time
+
+    L = make_family_bd(f4, f4.zero(), f4.element(2))
+    spec = dict(algebra=L, predicate="cybe", classifier="prop16-case",
+                chunk=1 << 12, keep_solutions=True)
+    want = sweep(SweepSpec(workers=1, **spec)).canonical_json()
+    t0 = time.perf_counter()
+    for _ in range(3):
+        got = sweep(SweepSpec(workers=(os.cpu_count() or 1) + 3, **spec))
+        assert got.canonical_json() == want
+    assert time.perf_counter() - t0 < 60
+
+
+def test_sweep_helper_failure_raises_and_pool_recovers(f4, monkeypatch):
+    import os
+    import time
+
+    from baxter import search
+
+    search._helpers(0).close()  # helpers forked below inherit the patch
+    caller = os.getpid()
+    real = search._solve_block
+
+    def broken(task, index):
+        if os.getpid() != caller:
+            raise ValueError("block failed in a helper")
+        time.sleep(0.02)  # leave blocks for the helper to take
+        return real(task, index)
+
+    monkeypatch.setattr(search, "_solve_block", broken)
+    L = make_family_bd(f4, f4.zero(), f4.element(2))
+    spec = dict(algebra=L, predicate="cybe", chunk=1 << 12)
+    with pytest.raises(RuntimeError, match="block failed in a helper"):
+        sweep(SweepSpec(workers=2, **spec))
+    assert not search._HELPERS._procs  # stopped: stale replies cannot leak
+    monkeypatch.undo()  # the next sweep forks unpatched helpers
+    assert (sweep(SweepSpec(workers=2, **spec)).canonical_json()
+            == sweep(SweepSpec(workers=1, **spec)).canonical_json())
