@@ -22,16 +22,20 @@ Everything is generic over ring scalars, as in :mod:`baxter.ybe`.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, FieldMismatch
-from .tensor import Tensor2, Tensor3, im_one_minus_tau_member
+from .tensor import NamedCoeffs, Tensor2, Tensor3, im_one_minus_tau_member
 from .ybe import cybe_residual
 
 __all__ = [
     "adjoint_act2",
     "adjoint_act3",
+    "ab_triangular_condition",
+    "bd_coboundary_condition",
+    "bd_triangular_condition",
     "cobracket",
     "cojacobi_defect",
     "is_coboundary",
     "is_triangular",
+    "su_family_equations",
 ]
 
 
@@ -175,3 +179,33 @@ def is_triangular(L, r: Tensor2) -> bool:
     if not im_one_minus_tau_member(r):
         return False
     return cybe_residual(L, r).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# closed forms stated for the dim-3 families (generic over ring scalars)
+
+
+def ab_triangular_condition(nc: NamedCoeffs, alpha, beta):
+    """Thm 2.1 (II) on Im(1 - tau): ``alpha u^2 + beta s^2 + p^2 = 0``."""
+    return alpha * nc.u * nc.u + beta * nc.s * nc.s + nc.p * nc.p
+
+
+def su_family_equations(nc: NamedCoeffs):
+    """Example 2.2: the two-parameter family ``s (e1e3 + e3e1) + u (e2e3 +
+    e3e2)``, i.e. every coefficient zero except ``s = t`` and ``u = v``."""
+    return [nc.x, nc.y, nc.z, nc.p, nc.q, nc.s - nc.t, nc.u - nc.v]
+
+
+def bd_coboundary_condition(nc: NamedCoeffs, beta, delta, one):
+    """Thm 2.3 (I) as printed: ``(delta+1)((delta+1)u + beta s)s = 0``."""
+    return (delta + one) * ((delta + one) * nc.u + beta * nc.s) * nc.s
+
+
+def bd_triangular_condition(nc: NamedCoeffs, beta, delta, one):
+    """Thm 2.3 (II) as printed: ``beta s + (1+delta)us = 0``.
+
+    The print reads ``beta s``, not ``beta s^2``.  On the stated grid the
+    two agree: ``beta = 0`` drops the term, and ``delta = 1`` leaves
+    ``beta s = 0``, which holds iff ``s = 0``.
+    """
+    return beta * nc.s + (one + delta) * nc.u * nc.s

@@ -15,12 +15,11 @@ stated; a nonempty ledger documents where it does not.
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Callable, NamedTuple
 
 from . import bialgebra, ybe
 from .algebra import (
-    LieAlgebra,
     commutator_lie,
     make_dim2,
     make_family_ab,
@@ -31,13 +30,12 @@ from .errors import SingularMatrix, UnknownClaim
 from .gf import Field, parse_field
 from .search import (
     DiscrepancyLedger,
-    SolutionReport,
     SweepSpec,
     enumerate_tensors,
     strong_symmetric_enumerate,
     sweep,
 )
-from .tensor import BasisChange, Tensor2, im_one_minus_tau_member, named_view
+from .tensor import BasisChange, Tensor2
 
 __all__ = ["CLAIM_IDS", "ClaimResult", "claim_check", "claim_default_fields"]
 
@@ -72,150 +70,132 @@ class ClaimResult:
 
 
 # ---------------------------------------------------------------------------
-# shared grids
+# algebra grids
 
 
-def _ab_pairs(f: Field):
-    return [(a, b) for a in f.elements() for b in f.elements()]
+def _pairs(f: Field):
+    return itertools.product(f.elements(), repeat=2)
 
 
-def _bd_pairs(f: Field):
-    return [(b, d) for b in f.elements() for d in f.elements()]
+def _ab_family(f: Field):
+    return [make_family_ab(f, a, b) for a, b in _pairs(f)]
 
 
-def _bd_covered_pairs(f: Field):
-    """(beta, delta) grid inside the classified/bialgebra hypotheses:
-    beta = 0 with any delta, or beta != 0 with delta = 1."""
+def _bd_family(f: Field):
+    return [make_family_bd(f, b, d) for b, d in _pairs(f)]
+
+
+def _bd_covered(f: Field):
+    """bd family inside the classified/bialgebra hypotheses: beta = 0 with
+    any delta, or beta != 0 with delta = 1."""
     zero, one = f.zero(), f.one()
-    out = [(zero, d) for d in f.elements()]
-    out.extend((b, one) for b in f.elements() if b != zero)
-    return out
+    pairs = [(zero, d) for d in f.elements()]
+    pairs.extend((b, one) for b in f.elements() if b != zero)
+    return [make_family_bd(f, b, d) for b, d in pairs]
+
+
+def _ab00(f: Field):
+    return [make_family_ab(f, f.zero(), f.zero())]
 
 
 def _dim3_lie_algebras(f: Field):
-    out = [make_family_ab(f, a, b) for a, b in _ab_pairs(f)]
-    out.extend(make_family_bd(f, b, d) for b, d in _bd_pairs(f))
-    return out
+    return _ab_family(f) + _bd_family(f)
 
 
 def _dim2_algebras(f: Field):
     return [make_dim2(f, "abelian"), make_dim2(f, "nonabelian")]
 
 
-def _im_members_dim3(f: Field) -> list[Tensor2]:
-    """Im(1 - tau) in dim 3, characteristic 2: all (p, s, u) shapes,
-    ascending by encoding."""
-    zero = f.zero()
-    out = []
-    for p in f.elements():
-        for s in f.elements():
-            for u in f.elements():
-                out.append(
-                    Tensor2(
-                        f, 3,
-                        [[zero, p, s], [p, zero, u], [s, u, zero]],
-                    )
-                )
-    out.sort(key=lambda t: t.encode())
-    return out
+def _dim3_and_dim2(f: Field):
+    return _dim3_lie_algebras(f) + _dim2_algebras(f)
 
 
-def _restricted_compare(
-    claim: str,
-    algebra,
-    tensors,
-    predicate_name: str,
-    predicate,
-    classifier_name: str,
-    classifier,
-) -> SolutionReport:
-    """Predicate-vs-classifier comparison over an explicit tensor list.
-
-    Same report shape as a sweep, with ``total`` equal to the number of
-    tensors examined (the restricted domain, listed in ascending encoding
-    order).
-    """
-    tensors = list(tensors)
-    t0 = time.perf_counter()
-    pred_count = class_count = 0
-    pred_only: list[Tensor2] = []
-    class_only: list[Tensor2] = []
-    for r in tensors:
-        pv = predicate(r)
-        cv = classifier(r)
-        pred_count += pv
-        class_count += cv
-        if pv and not cv:
-            pred_only.append(r)
-        elif cv and not pv:
-            class_only.append(r)
-    duration_ms = (time.perf_counter() - t0) * 1000.0
-
-    merged = sorted(
-        [(r.encode(), r, True) for r in pred_only]
-        + [(r.encode(), r, False) for r in class_only]
-    )
-    counterexamples = [
-        {
-            "encoding": code,
-            "tensor": r.literal(),
-            "predicate": is_pred,
-            "classifier": not is_pred,
-        }
-        for code, r, is_pred in merged[:16]
-    ]
-    params = algebra.params.as_dict() if algebra.params else {}
-    return SolutionReport(
-        claim=claim,
-        predicate=predicate_name,
-        classifier=classifier_name,
-        field=algebra.field.literal(),
-        algebra=algebra.label,
-        params=params,
-        total=len(tensors),
-        predicate_count=pred_count,
-        classifier_count=class_count,
-        pred_only_count=len(pred_only),
-        class_only_count=len(class_only),
-        agreement=not pred_only and not class_only,
-        counterexamples=counterexamples,
-        duration_ms=duration_ms,
-    )
-
-
-def _run_equality_sweep(
-    result: ClaimResult,
-    algebra,
-    predicate: str,
-    classifier: str,
-    claim_label: str,
-    workers: int | None,
-) -> SolutionReport:
-    """Sweep expecting set equality; disagreements go to the ledger."""
-    report = sweep(
-        SweepSpec(
-            algebra=algebra,
-            predicate=predicate,
-            classifier=classifier,
-            claim=claim_label,
-            workers=workers,
-        )
-    )
-    result.reports.append(report)
-    if not report.agreement:
-        result.passed = False
-        result.ledger.record_report(report)
-    return report
+def _prop16_label(L) -> str:
+    return f"Prop1.6-{ybe.bd_case_of(L.params.beta, L.params.delta)}"
 
 
 # ---------------------------------------------------------------------------
-# claim runners
+# claims as rows of sweeps
 
 
-def _claim_lemma02(fields, workers) -> ClaimResult:
+@dataclass(frozen=True)
+class _Row:
+    """One sweep per algebra of ``grid``: the ``predicate`` oracle against
+    the ``classifier`` closed form, both within ``domain`` if given.
+
+    ``expect`` says what a disagreement means.  ``"equal"`` and
+    ``"subset"`` (classifier set inside the predicate set) fail the claim
+    and pin the counterexamples; ``"pinned"`` only pins them, for a stated
+    link known to be false.  ``field`` restricts the row to that field;
+    ``shown_as`` renames the classifier in the report; ``label`` may be a
+    function of the algebra.
+    """
+
+    label: str | Callable
+    grid: Callable
+    predicate: str
+    classifier: str
+    domain: str | None = None
+    expect: str = "equal"
+    field: str | None = None
+    shown_as: str | None = None
+
+
+def _run_row(res: ClaimResult, row: _Row, algebra, workers) -> None:
+    """Sweep one algebra for ``row``: report, ledger entries and a note."""
+    label = row.label if isinstance(row.label, str) else row.label(algebra)
+    report = sweep(
+        SweepSpec(
+            algebra=algebra,
+            predicate=row.predicate,
+            classifier=row.classifier,
+            domain=row.domain,
+            claim=label,
+            workers=workers,
+        )
+    )
+    if row.shown_as is not None:
+        report = replace(report, classifier=row.shown_as)
+    res.reports.append(report)
+    if row.expect == "subset":
+        broken = report.class_only_count > 0
+    else:
+        broken = not report.agreement
+    if broken:
+        res.ledger.record_report(report)
+        if row.expect != "pinned":
+            res.passed = False
+    res.notes.append(
+        f"{label}: {report.field} {report.algebra}: {report.predicate}"
+        f" {report.predicate_count} vs {report.classifier}"
+        f" {report.classifier_count}"
+        + (f" of {report.total} in {row.domain}" if row.domain else "")
+        + (" (disagreement pinned)" if broken else "")
+    )
+
+
+def _run_rows(res: ClaimResult, rows, fields, workers) -> None:
+    """Run ``rows`` in order; consecutive rows with the same grid and field
+    restriction take turns on each algebra."""
+    for (grid, only), group in itertools.groupby(
+        rows, key=lambda row: (row.grid, row.field)
+    ):
+        group = list(group)
+        for f in fields:
+            if only is not None and f.literal() != only:
+                continue
+            for L in grid(f):
+                for row in group:
+                    _run_row(res, row, L, workers)
+
+
+# ---------------------------------------------------------------------------
+# claims that are not sweeps
+
+
+def _claim_lemma02(res: ClaimResult, fields, workers) -> None:
     """Strong-symmetry structure: basis-change invariance, implied symmetry,
     product permutation invariance, and the rank-one normal form."""
-    res = ClaimResult("Lemma0.2", True)
     for f in fields:
         # (II) implied symmetry + (IV) rank-one round trip, dims 1..3
         for dim in (1, 2, 3):
@@ -285,13 +265,11 @@ def _claim_lemma02(fields, workers) -> ClaimResult:
         f"invertible basis changes on {checked} sampled tensors "
         f"({'fails' if invariance_fail else 'holds'})"
     )
-    return res
 
 
-def _claim_thm03_cybe(fields, workers) -> ClaimResult:
+def _claim_thm03_cybe(res: ClaimResult, fields, workers) -> None:
     """Every strongly symmetric tensor solves CYBE, in every built-in
     Lie algebra."""
-    res = ClaimResult("Thm0.3-CYBE", True)
     for f in fields:
         algebras = _dim3_lie_algebras(f) + _dim2_algebras(f)
         algebras.append(commutator_lie(make_matrix_algebra(f, 2)))
@@ -313,12 +291,10 @@ def _claim_thm03_cybe(fields, workers) -> ClaimResult:
             f"pairs over {len(algebras)} algebras; residual zero in "
             f"{tested - failures}"
         )
-    return res
 
 
-def _claim_thm03_qybe(fields, workers) -> ClaimResult:
+def _claim_thm03_qybe(res: ClaimResult, fields, workers) -> None:
     """Every strongly symmetric tensor solves QYBE in the matrix algebra."""
-    res = ClaimResult("Thm0.3-QYBE", True)
     for f in fields:
         A = make_matrix_algebra(f, 2)
         members = strong_symmetric_enumerate(f, A.dim)
@@ -336,231 +312,29 @@ def _claim_thm03_qybe(fields, workers) -> ClaimResult:
             f"{f.literal()}: {A.label}: {len(members)} strongly symmetric "
             f"tensors, QYBE holds for {len(members) - failures}"
         )
-    return res
 
 
-def _claim_cor04(fields, workers) -> ClaimResult:
-    """The strongly symmetric set is contained in the CYBE solution set."""
-    res = ClaimResult("Cor0.4", True)
-    for f in fields:
-        for L in _dim3_lie_algebras(f) + _dim2_algebras(f):
-            report = sweep(
-                SweepSpec(
-                    algebra=L,
-                    predicate="cybe",
-                    classifier="strongly-symmetric",
-                    claim="Cor0.4",
-                    workers=workers,
-                )
-            )
-            res.reports.append(report)
-            if report.class_only_count:
-                res.passed = False
-                res.ledger.record_report(report)
-                res.notes.append(
-                    f"containment violated: {L.label} over {f.literal()}"
-                )
-        res.notes.append(
-            f"{f.literal()}: strongly-symmetric subset of CYBE solutions in "
-            f"all algebras checked"
-        )
-    return res
-
-
-def _claim_prop13(fields, workers) -> ClaimResult:
-    """Dim 2: CYBE solutions = symmetric tensors.
-
-    Holds for the nonabelian algebra; for the abelian algebra every tensor
-    is a solution, so the disagreement is pinned in the ledger.
-    """
-    res = ClaimResult("Prop1.3", True)
-    for f in fields:
-        for L in _dim2_algebras(f):
-            report = _run_equality_sweep(
-                res, L, "cybe", "symmetric", "Prop1.3", workers
-            )
-            res.notes.append(
-                f"{f.literal()} {L.label}: solutions {report.predicate_count}"
-                f" vs symmetric {report.classifier_count}"
-                + ("" if report.agreement else " (disagreement pinned)")
-            )
-    if not res.passed:
-        res.notes.append(
-            "as stated the equivalence fails for the abelian algebra, where"
-            " every tensor solves CYBE; residual brute force is ground truth"
-        )
-    return res
-
-
-def _claim_prop14(fields, workers) -> ClaimResult:
-    """Family ab: CYBE solutions = alpha,beta-symmetric tensors (with the
-    printed 27-relation system cross-checked against the residual route
-    over gf(2))."""
-    res = ClaimResult("Prop1.4", True)
-    for f in fields:
-        for a, b in _ab_pairs(f):
-            L = make_family_ab(f, a, b)
-            report = _run_equality_sweep(
-                res, L, "cybe", "alpha-beta-symmetric", "Prop1.4", workers
-            )
-            res.notes.append(
-                f"{f.literal()} {L.label}: solutions "
-                f"{report.predicate_count} vs classifier "
-                f"{report.classifier_count}"
-                + ("" if report.agreement else " (disagreement pinned)")
-            )
-    # Independent route: the 27 expanded relations against the residual.
-    f2 = parse_field(_GF2)
-    if any(f.key() == f2.key() for f in fields):
-        mismatches = 0
-        for a, b in _ab_pairs(f2):
-            L = make_family_ab(f2, a, b)
-            pred = lambda r: ybe.cybe_residual(L, r).is_zero()
-            zero = f2.zero()
-
-            def printed(r, a=a, b=b):
-                return all(
-                    v == zero
-                    for v in ybe.ab_printed_system(named_view(r), a, b)
-                )
-
-            report = _restricted_compare(
-                "Prop1.4-printed",
-                L,
-                list(enumerate_tensors(f2, 3)),
-                "cybe",
-                pred,
-                "expanded-relations",
-                printed,
-            )
-            res.reports.append(report)
-            if not report.agreement:
-                mismatches += 1
-                res.ledger.record_report(report)
-        res.notes.append(
-            "gf(2): expanded 27-relation route agrees with the residual on"
-            f" all 4x512 cases"
-            if mismatches == 0
-            else f"gf(2): expanded-relation route disagrees with the residual"
-            f" for {mismatches} parameter pairs (pinned)"
-        )
-        if mismatches:
-            res.passed = False
-    if not res.passed:
-        res.notes.append(
-            "the solution = classifier equivalence fails when alpha = 0 or"
-            " beta = 0 (extra solutions exist outside the symmetric shape);"
-            " disagreements are pinned in the ledger"
-        )
-    return res
-
-
-def _claim_example15(fields, workers) -> ClaimResult:
-    """The ab(0,0) specialization: solutions vs 0,0-symmetric tensors, plus
-    the two fixed spot checks."""
-    res = ClaimResult("Example1.5", True)
-    for f in fields:
-        zero, one = f.zero(), f.one()
-        L = make_family_ab(f, zero, zero)
-        report = _run_equality_sweep(
-            res, L, "cybe", "alpha-beta-symmetric", "Example1.5", workers
-        )
-        res.notes.append(
-            f"{f.literal()}: solutions {report.predicate_count} vs "
-            f"0,0-symmetric {report.classifier_count}"
-            + ("" if report.agreement else " (disagreement pinned)")
-        )
-        # r = e3 (x) e3 is central, residual zero
-        r1 = Tensor2(
-            f, 3,
-            [[zero, zero, zero], [zero, zero, zero], [zero, zero, one]],
-        )
-        if not ybe.cybe_residual(L, r1).is_zero():
-            res.passed = False
-            res.notes.append("spot check failed: e3(x)e3 should solve CYBE")
-        # r = e1(x)e2 + e2(x)e1 has exactly six nonzero residual entries
-        r2 = Tensor2(
-            f, 3,
-            [[zero, one, zero], [one, zero, zero], [zero, zero, zero]],
-        )
-        nz = ybe.cybe_residual(L, r2).nonzero_entries()
-        if len(nz) != 6:
-            res.passed = False
-            res.notes.append(
-                f"spot check failed: e1(x)e2+e2(x)e1 residual has {len(nz)}"
-                " nonzero entries, expected 6"
-            )
-    return res
-
-
-def _claim_prop16(fields, workers) -> ClaimResult:
-    """Family bd, classified cases II/III/IV: solutions = case conditions
-    (with the printed 21-relation system cross-checked over gf(2))."""
-    res = ClaimResult("Prop1.6", True)
-    for f in fields:
-        for b, d in _bd_covered_pairs(f):
-            L = make_family_bd(f, b, d)
-            case = ybe.bd_case_of(b, d)
-            report = _run_equality_sweep(
-                res, L, "cybe", "prop16-case", f"Prop1.6-{case}", workers
-            )
-            res.notes.append(
-                f"{f.literal()} {L.label} case {case}: solutions "
-                f"{report.predicate_count} vs classifier "
-                f"{report.classifier_count}"
-                + ("" if report.agreement else " (disagreement pinned)")
-            )
-    f2 = parse_field(_GF2)
-    if any(f.key() == f2.key() for f in fields):
-        mismatches = 0
-        for b, d in _bd_pairs(f2):
-            L = make_family_bd(f2, b, d)
-            pred = lambda r: ybe.cybe_residual(L, r).is_zero()
-            zero = f2.zero()
-
-            def printed(r, b=b, d=d):
-                return all(
-                    v == zero
-                    for v in ybe.bd_printed_system(named_view(r), b, d)
-                )
-
-            report = _restricted_compare(
-                "Prop1.6-printed",
-                L,
-                list(enumerate_tensors(f2, 3)),
-                "cybe",
-                pred,
-                "expanded-relations",
-                printed,
-            )
-            res.reports.append(report)
-            if not report.agreement:
-                mismatches += 1
-                res.ledger.record_report(report)
-        res.notes.append(
-            "gf(2): expanded 21-relation route agrees with the residual on"
-            " all 4x512 cases"
-            if mismatches == 0
-            else f"gf(2): expanded-relation route disagrees with the residual"
-            f" for {mismatches} parameter pairs (pinned)"
-        )
-        if mismatches:
-            res.passed = False
-    return res
-
-
-def _claim_lemma211(fields, workers) -> ClaimResult:
+def _claim_lemma211(res: ClaimResult, fields, workers) -> None:
     """For r in Im(1 - tau): the adjoint action of x on the CYBE residual
     equals the co-Jacobi defect at x.  The diagonal (derivation) action is
     asserted; the simultaneous tensor-cube action is run in comparison mode
     and its verdict recorded."""
-    res = ClaimResult("Lemma2.1.1", True)
     for f in fields:
         diag_fail = 0
         cube_fail = 0
         checked = 0
-        for L in _dim3_lie_algebras(f):
-            for r in _im_members_dim3(f):
+        algebras = _dim3_lie_algebras(f)
+        im = sweep(
+            SweepSpec(
+                algebra=algebras[0],
+                predicate="im-one-minus-tau",
+                workers=workers,
+                keep_solutions=True,
+            )
+        )
+        members = [Tensor2.decode(f, 3, code) for code in im.solutions]
+        for L in algebras:
+            for r in members:
                 c = ybe.cybe_residual(L, r)
                 defects = bialgebra.cojacobi_defect(L, r)
                 for x in range(3):
@@ -586,202 +360,39 @@ def _claim_lemma211(fields, workers) -> ClaimResult:
             f"/{checked} (algebra, r, x) cases; tensor-cube reading "
             f"{cube_verdict} -- the diagonal action is the operative reading"
         )
-    return res
 
 
-def _claim_thm21(fields, workers) -> ClaimResult:
-    """Family ab: (I) coboundary iff r in Im(1 - tau); (II) triangular iff
-    Im membership plus the alpha,beta-symmetry condition (restricted to the
-    Im shape: alpha u^2 + beta s^2 + p^2 = 0)."""
-    res = ClaimResult("Thm2.1", True)
+def _example15_spot_checks(res: ClaimResult, fields, workers) -> None:
+    """The two fixed tensors of Example 1.5 in ab(0,0)."""
     for f in fields:
-        zero = f.zero()
-        for a, b in _ab_pairs(f):
-            L = make_family_ab(f, a, b)
-            _run_equality_sweep(
-                res, L, "coboundary", "im-one-minus-tau", "Thm2.1-I", workers
-            )
-
-            def closed_form(r, a=a, b=b):
-                nc = named_view(r)
-                return (
-                    im_one_minus_tau_member(r)
-                    and a * nc.u * nc.u + b * nc.s * nc.s + nc.p * nc.p
-                    == zero
-                )
-
-            report = _restricted_compare(
-                "Thm2.1-II",
-                L,
-                _im_members_dim3(f),
-                "triangular",
-                lambda r: bialgebra.is_triangular(L, r),
-                "im-and-alpha-beta-symmetric",
-                closed_form,
-            )
-            res.reports.append(report)
-            if not report.agreement:
-                res.passed = False
-                res.ledger.record_report(report)
-        res.notes.append(
-            f"{f.literal()}: coboundary=Im(1-tau) sweep and triangular"
-            f" closed form checked for all {f.q * f.q} (alpha, beta) pairs"
-        )
-    return res
-
-
-def _claim_example22(fields, workers) -> ClaimResult:
-    """The ab(0,0) bialgebra picture: coboundary iff Im(1 - tau);
-    triangular iff r is in the two-parameter s,u family.  The stated middle
-    equivalence (triangular iff 0,0-symmetric) fails off the Im shape and
-    is pinned."""
-    res = ClaimResult("Example2.2", True)
-    for f in fields:
-        zero = f.zero()
+        zero, one = f.zero(), f.one()
         L = make_family_ab(f, zero, zero)
-        _run_equality_sweep(
-            res, L, "coboundary", "im-one-minus-tau", "Example2.2-i", workers
+        # r = e3 (x) e3 is central, residual zero
+        r1 = Tensor2(
+            f, 3,
+            [[zero, zero, zero], [zero, zero, zero], [zero, zero, one]],
         )
-
-        def su_family(r):
-            nc = named_view(r)
-            return all(
-                v == zero
-                for v in (
-                    nc.x, nc.y, nc.z, nc.p, nc.q,
-                    nc.s - nc.t, nc.u - nc.v,
-                )
-            )
-
-        report = _restricted_compare(
-            "Example2.2-ii",
-            L,
-            list(enumerate_tensors(f, 3)),
-            "triangular",
-            lambda r: bialgebra.is_triangular(L, r),
-            "su-family",
-            su_family,
-        )
-        res.reports.append(report)
-        if not report.agreement:
+        if not ybe.cybe_residual(L, r1).is_zero():
             res.passed = False
-            res.ledger.record_report(report)
-
-        alpha, beta = zero, zero
-
-        def sym00(r):
-            nc = named_view(r)
-            return all(
-                v == zero
-                for v in ybe.ab_symmetric_equations(nc, alpha, beta)
-            )
-
-        middle = _restricted_compare(
-            "Example2.2-middle",
-            L,
-            list(enumerate_tensors(f, 3)),
-            "triangular",
-            lambda r: bialgebra.is_triangular(L, r),
-            "alpha-beta-symmetric",
-            sym00,
+            res.notes.append("spot check failed: e3(x)e3 should solve CYBE")
+        # r = e1(x)e2 + e2(x)e1 has exactly six nonzero residual entries
+        r2 = Tensor2(
+            f, 3,
+            [[zero, one, zero], [one, zero, zero], [zero, zero, zero]],
         )
-        res.reports.append(middle)
-        if not middle.agreement:
-            res.ledger.record_report(middle)
+        nz = ybe.cybe_residual(L, r2).nonzero_entries()
+        if len(nz) != 6:
+            res.passed = False
             res.notes.append(
-                f"{f.literal()}: the middle equivalence (triangular iff"
-                f" 0,0-symmetric) fails: {middle.classifier_count} symmetric"
-                f" tensors vs {middle.predicate_count} triangular ones;"
-                " 0,0-symmetric tensors with nonzero diagonal are not in"
-                " Im(1-tau) (pinned)"
+                f"spot check failed: e1(x)e2+e2(x)e1 residual has {len(nz)}"
+                " nonzero entries, expected 6"
             )
-    return res
 
 
-def _thm23_grid(f: Field):
-    return _bd_covered_pairs(f)
-
-
-def _claim_thm23_i(fields, workers) -> ClaimResult:
-    """Family bd on its stated grid: for r in Im(1 - tau), coboundary iff
-    (delta+1)((delta+1)u + beta s)s = 0."""
-    res = ClaimResult("Thm2.3-I", True)
-    for f in fields:
-        zero, one = f.zero(), f.one()
-        for b, d in _thm23_grid(f):
-            L = make_family_bd(f, b, d)
-
-            def printed(r, b=b, d=d):
-                nc = named_view(r)
-                return (d + one) * ((d + one) * nc.u + b * nc.s) * nc.s == zero
-
-            report = _restricted_compare(
-                "Thm2.3-I",
-                L,
-                _im_members_dim3(f),
-                "coboundary",
-                lambda r: bialgebra.is_coboundary(L, r),
-                "printed-condition",
-                printed,
-            )
-            res.reports.append(report)
-            if not report.agreement:
-                res.passed = False
-                res.ledger.record_report(report)
-        res.notes.append(
-            f"{f.literal()}: printed coboundary condition checked on all"
-            f" {len(_thm23_grid(f))} in-hypothesis (beta, delta) pairs"
-        )
-    return res
-
-
-def _claim_thm23_ii(fields, workers) -> ClaimResult:
-    """Family bd on its stated grid: for r in Im(1 - tau), triangular iff
-    beta s + (1+delta)us = 0, as printed."""
-    res = ClaimResult("Thm2.3-II", True)
-    for f in fields:
-        zero, one = f.zero(), f.one()
-        for b, d in _thm23_grid(f):
-            L = make_family_bd(f, b, d)
-
-            def printed(r, b=b, d=d):
-                nc = named_view(r)
-                return b * nc.s + (one + d) * nc.u * nc.s == zero
-
-            report = _restricted_compare(
-                "Thm2.3-II",
-                L,
-                _im_members_dim3(f),
-                "triangular",
-                lambda r: bialgebra.is_triangular(L, r),
-                "printed-condition",
-                printed,
-            )
-            res.reports.append(report)
-            if not report.agreement:
-                res.passed = False
-                res.ledger.record_report(report)
-        res.notes.append(
-            f"{f.literal()}: printed triangular condition checked on all"
-            f" {len(_thm23_grid(f))} in-hypothesis (beta, delta) pairs;"
-            " note the condition as printed reads beta*s (not beta*s^2) --"
-            " on the stated grid the two variants agree"
-        )
-    return res
-
-
-def _claim_thm24(fields, workers) -> ClaimResult:
-    """Dim 2: triangular iff coboundary iff r in Im(1 - tau), both
-    algebras; includes the triangular-implies-coboundary containment."""
-    res = ClaimResult("Thm2.4", True)
+def _thm24_implication(res: ClaimResult, fields, workers) -> None:
+    """Dim 2: every triangular tensor is coboundary."""
     for f in fields:
         for L in _dim2_algebras(f):
-            _run_equality_sweep(
-                res, L, "coboundary", "im-one-minus-tau", "Thm2.4", workers
-            )
-            _run_equality_sweep(
-                res, L, "triangular", "im-one-minus-tau", "Thm2.4", workers
-            )
             implication_fail = 0
             for r in enumerate_tensors(f, 2):
                 if bialgebra.is_triangular(L, r) and not (
@@ -794,31 +405,83 @@ def _claim_thm24(fields, workers) -> ClaimResult:
                     f"{f.literal()} {L.label}: triangular without coboundary"
                     f" in {implication_fail} cases"
                 )
-        res.notes.append(
-            f"{f.literal()}: both dim-2 algebras: triangular = coboundary ="
-            " Im(1-tau) membership"
-        )
-    return res
 
 
 # ---------------------------------------------------------------------------
 # registry
 
+
+class _Claim(NamedTuple):
+    """Sweeps as rows, then any further checks as code."""
+
+    fields: tuple[str, ...]
+    rows: tuple[_Row, ...] = ()
+    code: Callable | None = None
+
+
 _REGISTRY = {
-    "Lemma0.2": (_claim_lemma02, (_GF2, _GF4)),
-    "Thm0.3-CYBE": (_claim_thm03_cybe, (_GF2, _GF4)),
-    "Thm0.3-QYBE": (_claim_thm03_qybe, (_GF2,)),
-    "Cor0.4": (_claim_cor04, (_GF2, _GF4)),
-    "Prop1.3": (_claim_prop13, (_GF2, _GF4)),
-    "Prop1.4": (_claim_prop14, (_GF2, _GF4)),
-    "Example1.5": (_claim_example15, (_GF2,)),
-    "Prop1.6": (_claim_prop16, (_GF2, _GF4)),
-    "Lemma2.1.1": (_claim_lemma211, (_GF2,)),
-    "Thm2.1": (_claim_thm21, (_GF2, _GF4)),
-    "Example2.2": (_claim_example22, (_GF2,)),
-    "Thm2.3-I": (_claim_thm23_i, (_GF2, _GF4)),
-    "Thm2.3-II": (_claim_thm23_ii, (_GF2, _GF4)),
-    "Thm2.4": (_claim_thm24, (_GF2, _GF4)),
+    "Lemma0.2": _Claim((_GF2, _GF4), code=_claim_lemma02),
+    "Thm0.3-CYBE": _Claim((_GF2, _GF4), code=_claim_thm03_cybe),
+    "Thm0.3-QYBE": _Claim((_GF2,), code=_claim_thm03_qybe),
+    # the strongly symmetric set lies inside the CYBE solution set
+    "Cor0.4": _Claim((_GF2, _GF4), (
+        _Row("Cor0.4", _dim3_and_dim2, "cybe", "strongly-symmetric",
+             expect="subset"),
+    )),
+    # dim 2: solutions = symmetric tensors; false for the abelian algebra,
+    # where every tensor solves
+    "Prop1.3": _Claim((_GF2, _GF4), (
+        _Row("Prop1.3", _dim2_algebras, "cybe", "symmetric"),
+    )),
+    # ab family: solutions = alpha,beta-symmetric tensors, false when alpha
+    # or beta is 0; the printed 27 relations against the residual
+    "Prop1.4": _Claim((_GF2, _GF4), (
+        _Row("Prop1.4", _ab_family, "cybe", "alpha-beta-symmetric"),
+        _Row("Prop1.4-printed", _ab_family, "cybe", "expanded-relations",
+             field=_GF2),
+    )),
+    # the ab(0,0) case of Prop1.4, plus two fixed tensors
+    "Example1.5": _Claim((_GF2,), (
+        _Row("Example1.5", _ab00, "cybe", "alpha-beta-symmetric"),
+    ), code=_example15_spot_checks),
+    # bd family, cases II/III/IV: solutions = case conditions; the printed
+    # 21 relations against the residual
+    "Prop1.6": _Claim((_GF2, _GF4), (
+        _Row(_prop16_label, _bd_covered, "cybe", "prop16-case"),
+        _Row("Prop1.6-printed", _bd_family, "cybe", "expanded-relations",
+             field=_GF2),
+    )),
+    "Lemma2.1.1": _Claim((_GF2,), code=_claim_lemma211),
+    # ab family: (I) coboundary iff Im(1 - tau); (II) triangular iff Im
+    # membership and alpha u^2 + beta s^2 + p^2 = 0
+    "Thm2.1": _Claim((_GF2, _GF4), (
+        _Row("Thm2.1-I", _ab_family, "coboundary", "im-one-minus-tau"),
+        _Row("Thm2.1-II", _ab_family, "triangular",
+             "im-and-alpha-beta-symmetric", domain="im-one-minus-tau"),
+    )),
+    # ab(0,0): coboundary iff Im(1 - tau); triangular iff the s,u family;
+    # the stated middle link (triangular iff 0,0-symmetric) is false
+    "Example2.2": _Claim((_GF2,), (
+        _Row("Example2.2-i", _ab00, "coboundary", "im-one-minus-tau"),
+        _Row("Example2.2-ii", _ab00, "triangular", "su-family"),
+        _Row("Example2.2-middle", _ab00, "triangular",
+             "alpha-beta-symmetric", expect="pinned"),
+    )),
+    # bd family on its stated grid, within Im(1 - tau): the printed
+    # coboundary and triangular conditions
+    "Thm2.3-I": _Claim((_GF2, _GF4), (
+        _Row("Thm2.3-I", _bd_covered, "coboundary", "bd-printed-coboundary",
+             domain="im-one-minus-tau", shown_as="printed-condition"),
+    )),
+    "Thm2.3-II": _Claim((_GF2, _GF4), (
+        _Row("Thm2.3-II", _bd_covered, "triangular", "bd-printed-triangular",
+             domain="im-one-minus-tau", shown_as="printed-condition"),
+    )),
+    # dim 2: triangular iff coboundary iff Im(1 - tau)
+    "Thm2.4": _Claim((_GF2, _GF4), (
+        _Row("Thm2.4", _dim2_algebras, "coboundary", "im-one-minus-tau"),
+        _Row("Thm2.4", _dim2_algebras, "triangular", "im-one-minus-tau"),
+    ), code=_thm24_implication),
 }
 
 CLAIM_IDS = tuple(_REGISTRY)
@@ -827,7 +490,7 @@ CLAIM_IDS = tuple(_REGISTRY)
 def claim_default_fields(claim: str) -> tuple[str, ...]:
     if claim not in _REGISTRY:
         raise UnknownClaim(claim, CLAIM_IDS)
-    return _REGISTRY[claim][1]
+    return _REGISTRY[claim].fields
 
 
 def claim_check(
@@ -842,11 +505,15 @@ def claim_check(
     """
     if claim not in _REGISTRY:
         raise UnknownClaim(claim, CLAIM_IDS)
-    runner, default_literals = _REGISTRY[claim]
+    spec = _REGISTRY[claim]
     if fields is None:
-        fields = [parse_field(lit) for lit in default_literals]
+        fields = [parse_field(lit) for lit in spec.fields]
     else:
         fields = [
             parse_field(f) if isinstance(f, str) else f for f in fields
         ]
-    return runner(list(fields), workers)
+    res = ClaimResult(claim, True)
+    _run_rows(res, spec.rows, fields, workers)
+    if spec.code is not None:
+        spec.code(res, fields, workers)
+    return res

@@ -154,15 +154,9 @@ def _emit(args, payload: dict, text_lines: list[str], csv_row: dict) -> None:
 def _cmd_verify(args) -> int:
     algebra = _resolve_algebra(args, required=args.check != "strong")
     r = _parse_tensor_for(args, algebra)
-    selector = _CHECKS[args.check]
-    if algebra is None:
-        holds = selector_predicate_standalone(selector, r)
-        label = "(none)"
-        field_lit = r.field.literal()
-    else:
-        holds = selector_predicate(algebra, selector)(r)
-        label = algebra.label
-        field_lit = algebra.field.literal()
+    holds = selector_predicate(algebra, _CHECKS[args.check])(r)
+    label = "(none)" if algebra is None else algebra.label
+    field_lit = r.field.literal()
     payload = {
         "check": args.check,
         "holds": holds,
@@ -180,15 +174,6 @@ def _cmd_verify(args) -> int:
         payload,
     )
     return 0 if holds else 1
-
-
-def selector_predicate_standalone(selector: str, r: Tensor2) -> bool:
-    """Algebra-free checks (currently only strong symmetry)."""
-    if selector == "strongly-symmetric":
-        from .ybe import is_strongly_symmetric
-
-        return is_strongly_symmetric(r)
-    raise InputError(f"check {selector!r} needs an algebra")
 
 
 def _cmd_enumerate(args) -> int:

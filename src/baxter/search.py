@@ -7,7 +7,13 @@ and reports the counts plus any disagreements.  Selectors name both roles:
 
 ``cybe`` | ``qybe`` | ``strongly-symmetric`` | ``alpha-beta-symmetric`` |
 ``prop16-case`` | ``coboundary`` | ``triangular`` | ``symmetric`` |
-``im-one-minus-tau``
+``im-one-minus-tau`` | ``expanded-relations`` | ``su-family`` |
+``im-and-alpha-beta-symmetric`` | ``bd-printed-coboundary`` |
+``bd-printed-triangular``
+
+A sweep may also name a *domain* selector; its equations are conjoined to
+both sides and the report's ``total`` counts the domain instead of the
+whole space.
 
 Each selector has two independent evaluation routes that are kept in lock
 step by construction and cross-checked in the test suite:
@@ -120,6 +126,16 @@ def strong_symmetric_enumerate(field, dim: int) -> list[Tensor2]:
 # ---------------------------------------------------------------------------
 # selector registry
 
+# Selectors given by the paper's closed forms for the dim-3 families; both
+# routes evaluate the same equations from ``_closed_form``.
+_CLOSED_FORMS = (
+    "expanded-relations",
+    "su-family",
+    "im-and-alpha-beta-symmetric",
+    "bd-printed-coboundary",
+    "bd-printed-triangular",
+)
+
 SELECTOR_NAMES = (
     "cybe",
     "qybe",
@@ -130,7 +146,7 @@ SELECTOR_NAMES = (
     "triangular",
     "symmetric",
     "im-one-minus-tau",
-)
+) + _CLOSED_FORMS
 
 _LIE_SELECTORS = {"cybe", "coboundary", "triangular"}
 _ASSOC_SELECTORS = {"qybe"}
@@ -202,6 +218,39 @@ def _im_polys(field, kt: Tensor2):
     return out
 
 
+def _closed_form(algebra, name: str, kt: Tensor2, const) -> list:
+    """Equations of a closed-form selector in the scalars of ``kt``.
+
+    ``kt`` holds field elements on the object route and ring variables on
+    the compiled route; ``const`` lifts a field element to those scalars.
+    """
+    nc = named_view(kt)
+    if name == "expanded-relations":
+        params = getattr(algebra, "params", None)
+        if getattr(params, "alpha", None) is not None:
+            alpha, beta = _family_params(algebra, name, "alpha", "beta")
+            return list(
+                ybe.ab_printed_system(nc, const(alpha), const(beta))
+            )
+        beta, delta = _family_params(algebra, name, "beta", "delta")
+        return list(ybe.bd_printed_system(nc, const(beta), const(delta)))
+    if name == "su-family":
+        return bialgebra.su_family_equations(nc)
+    if name == "im-and-alpha-beta-symmetric":
+        alpha, beta = _family_params(algebra, name, "alpha", "beta")
+        return _im_polys(algebra.field, kt) + [
+            bialgebra.ab_triangular_condition(nc, const(alpha), const(beta))
+        ]
+    beta, delta = _family_params(algebra, name, "beta", "delta")
+    condition = {
+        "bd-printed-coboundary": bialgebra.bd_coboundary_condition,
+        "bd-printed-triangular": bialgebra.bd_triangular_condition,
+    }[name]
+    return [
+        condition(nc, const(beta), const(delta), const(algebra.field.one()))
+    ]
+
+
 def build_selector_system(algebra, name: str, ring: PolyRing):
     """Symbolic polynomials whose common zeros are the selector's members."""
     _check_selector(algebra, name)
@@ -256,6 +305,8 @@ def build_selector_system(algebra, name: str, ring: PolyRing):
         ]
     if name == "im-one-minus-tau":
         return _im_polys(algebra.field, kt)
+    if name in _CLOSED_FORMS:
+        return _closed_form(algebra, name, kt, ring.const)
     raise AssertionError(name)
 
 
@@ -288,6 +339,10 @@ def selector_predicate(algebra, name: str):
         return lambda r: r.is_symmetric()
     if name == "im-one-minus-tau":
         return im_one_minus_tau_member
+    if name in _CLOSED_FORMS:
+        return lambda r: all(
+            v.is_zero() for v in _closed_form(algebra, name, r, lambda c: c)
+        )
     raise AssertionError(name)
 
 
@@ -317,14 +372,18 @@ def resolve_workers(explicit: int | None = None) -> int:
 class SweepSpec:
     """What to sweep: an algebra, a predicate, and an optional classifier.
 
-    ``chunk`` bounds the candidates the kernel holds in one expansion step
-    (memory); it never changes the report.  ``limit`` caps the solutions
-    ``keep_solutions`` keeps to the smallest ``limit`` encodings.
+    ``domain`` names a selector whose equations are conjoined to both
+    sides, so the report counts and compares within it and its ``total``
+    is the domain's size.  ``chunk`` bounds the candidates the kernel holds
+    in one expansion step (memory); it never changes the report.  ``limit``
+    caps the solutions ``keep_solutions`` keeps to the smallest ``limit``
+    encodings.
     """
 
     algebra: object
     predicate: str
     classifier: str | None = None
+    domain: str | None = None
     claim: str | None = None
     chunk: int = 1 << 20
     workers: int | None = None
@@ -555,27 +614,38 @@ class SolutionReport:
 
 
 def sweep(spec: SweepSpec) -> SolutionReport:
-    """Run the sweep described by ``spec`` over the whole tensor space."""
+    """Run the sweep described by ``spec`` over the whole tensor space,
+    or over ``spec.domain`` when one is named."""
     algebra = spec.algebra
     f = algebra.field
     n = algebra.dim
-    total = tensor_count(f, n)
-    if total > MAX_SWEEP:
-        raise SweepTooLarge(total, MAX_SWEEP)
+    space = tensor_count(f, n)
+    if space > MAX_SWEEP:
+        raise SweepTooLarge(space, MAX_SWEEP)
     if spec.chunk < 1:
         raise InputError("chunk must be positive")
+    if spec.limit is not None and spec.limit < 0:
+        raise InputError("limit must be >= 0")
     ring = PolyRing(f, n * n)
-    pred_sys = compile_polys(
-        ring, build_selector_system(algebra, spec.predicate, ring)
-    )
+    domain = []
+    if spec.domain is not None:
+        domain = build_selector_system(algebra, spec.domain, ring)
+
+    def system(name):
+        polys = build_selector_system(algebra, name, ring)
+        return compile_polys(ring, [*polys, *domain])
+
+    pred_sys = system(spec.predicate)
     class_sys = None
     if spec.classifier is not None:
-        class_sys = compile_polys(
-            ring, build_selector_system(algebra, spec.classifier, ring)
-        )
+        class_sys = system(spec.classifier)
     workers = resolve_workers(spec.workers)
     t0 = time.perf_counter()
-    parts = _solve(pred_sys, class_sys, total, spec.chunk, workers)
+    parts = _solve(pred_sys, class_sys, space, spec.chunk, workers)
+    total = space
+    if spec.domain is not None:
+        dom_sys = compile_polys(ring, domain)
+        total = int(solutions_in_range(dom_sys, 0, space, spec.chunk).size)
     duration_ms = (time.perf_counter() - t0) * 1000.0
 
     pred = np.concatenate([pr for pr, _ in parts])

@@ -25,6 +25,7 @@ runs on field elements and on symbolic polynomials.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -145,145 +146,76 @@ class QybeSides(NamedTuple):
     rhs: Tensor3
 
 
+def _nonzero_entries(rows, rank: int, n: int, zero):
+    """``(index_tuple, value)`` for every nonzero entry of a nested list."""
+    out = []
+    for idx in itertools.product(range(n), repeat=rank):
+        v = rows
+        for i in idx:
+            v = v[i]
+        if v != zero:
+            out.append((idx, v))
+    return out
+
+
+def _contract(out: str, factors) -> dict:
+    """Sum over every index not in ``out`` of the product of ``factors``.
+
+    Each factor is ``(labels, entries)``: nonzero entries as
+    ``(index_tuple, value)`` pairs, one index per letter of ``labels``.
+    Factors are joined left to right and an index is summed out as soon as
+    neither a later factor nor ``out`` names it, so the factor order sets
+    the size of every intermediate.  Returns ``{out index tuple: value}``
+    with absent keys meaning zero.
+    """
+    labels, terms = "", {(): None}
+    for pos, (flabels, entries) in enumerate(factors):
+        needed = set(out).union(*(fl for fl, _ in factors[pos + 1:]))
+        merged = labels + "".join(c for c in flabels if c not in labels)
+        kept = "".join(c for c in merged if c in needed)
+        shared = [c for c in flabels if c in labels]
+        groups: dict[tuple, list] = {}
+        for idx, v in entries:
+            env = dict(zip(flabels, idx))
+            key = tuple(env[c] for c in shared)
+            groups.setdefault(key, []).append((env, v))
+        nxt: dict[tuple, object] = {}
+        for key, acc in terms.items():
+            env = dict(zip(labels, key))
+            for fenv, v in groups.get(tuple(env[c] for c in shared), ()):
+                env.update(fenv)
+                k = tuple(env[c] for c in kept)
+                prod = v if acc is None else acc * v
+                nxt[k] = nxt[k] + prod if k in nxt else prod
+        labels, terms = kept, nxt
+    order = [labels.index(c) for c in out]
+    return {tuple(k[i] for i in order): v for k, v in terms.items()}
+
+
 def qybe_sides(A, R: Tensor2) -> QybeSides:
-    """Both sides of ``R12 R13 R23 = R23 R13 R12`` as coefficient tensors."""
+    """Both sides of ``R12 R13 R23 = R23 R13 R12`` as coefficient tensors.
+
+    Each side is the six-factor sum in the module docstring; the factor
+    orders below keep every intermediate to at most four free indices.
+    """
     _check_pair(A, R)
     n = R.dim
     zero = R.field.zero()
-    a = A.c
-    k = R.rows
-
-    # lhs: contract k[s][u] k[t][v] k[m][w] a[s][t][i] a[u][m][j] a[v][w][l]
-    t1 = [
-        [
-            [
-                sum((k[s][u] * a[s][t][i] for s in range(n)), zero)
-                for i in range(n)
-            ]
-            for t in range(n)
-        ]
-        for u in range(n)
-    ]
-    t2 = [
-        [
-            [
-                sum((t1[u][t][i] * k[t][v] for t in range(n)), zero)
-                for i in range(n)
-            ]
-            for v in range(n)
-        ]
-        for u in range(n)
-    ]
-    t3 = [
-        [
-            [
-                [
-                    sum((t2[u][v][i] * a[u][m][j] for u in range(n)), zero)
-                    for j in range(n)
-                ]
-                for m in range(n)
-            ]
+    k = _nonzero_entries(R.rows, 2, n, zero)
+    a = _nonzero_entries(A.c, 3, n, zero)
+    sides = (
+        _contract("ijl", [("su", k), ("sti", a), ("tv", k),
+                          ("umj", a), ("mw", k), ("vwl", a)]),
+        _contract("ijl", [("tmi", a), ("tv", k), ("uvl", a),
+                          ("su", k), ("mw", k), ("swj", a)]),
+    )
+    return QybeSides(*(
+        Tensor3(R.field, n, [
+            [[side.get((i, j, l), zero) for l in range(n)] for j in range(n)]
             for i in range(n)
-        ]
-        for v in range(n)
-    ]
-    t4 = [
-        [
-            [
-                [
-                    sum((t3[v][i][m][j] * k[m][w] for m in range(n)), zero)
-                    for j in range(n)
-                ]
-                for w in range(n)
-            ]
-            for i in range(n)
-        ]
-        for v in range(n)
-    ]
-    lhs = [
-        [
-            [
-                sum(
-                    (
-                        t4[v][i][w][j] * a[v][w][l]
-                        for v in range(n) for w in range(n)
-                    ),
-                    zero,
-                )
-                for l in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    # rhs: contract k[s][u] k[t][v] k[m][w] a[t][m][i] a[s][w][j] a[u][v][l]
-    u1 = [
-        [
-            [
-                sum((a[t][m][i] * k[t][v] for t in range(n)), zero)
-                for i in range(n)
-            ]
-            for v in range(n)
-        ]
-        for m in range(n)
-    ]
-    u2 = [
-        [
-            [
-                [
-                    sum((u1[m][v][i] * a[u][v][l] for v in range(n)), zero)
-                    for l in range(n)
-                ]
-                for u in range(n)
-            ]
-            for i in range(n)
-        ]
-        for m in range(n)
-    ]
-    u3 = [
-        [
-            [
-                [
-                    sum((u2[m][i][u][l] * k[s][u] for u in range(n)), zero)
-                    for l in range(n)
-                ]
-                for s in range(n)
-            ]
-            for i in range(n)
-        ]
-        for m in range(n)
-    ]
-    u4 = [
-        [
-            [
-                [
-                    sum((u3[m][i][s][l] * k[m][w] for m in range(n)), zero)
-                    for l in range(n)
-                ]
-                for w in range(n)
-            ]
-            for s in range(n)
-        ]
-        for i in range(n)
-    ]
-    rhs = [
-        [
-            [
-                sum(
-                    (
-                        u4[i][s][w][l] * a[s][w][j]
-                        for s in range(n) for w in range(n)
-                    ),
-                    zero,
-                )
-                for l in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return QybeSides(Tensor3(R.field, n, lhs), Tensor3(R.field, n, rhs))
+        ])
+        for side in sides
+    ))
 
 
 def is_qybe_solution(A, R: Tensor2) -> bool:

@@ -1,8 +1,50 @@
 """Registered verification suites: pass/fail/ledger behavior per claim."""
+import hashlib
+
 import pytest
 
 from baxter import CLAIM_IDS, claim_check, claim_default_fields, field
 from baxter.errors import UnknownClaim
+
+# sha256 per claim, on its default fields, over "{cid} {exit_code} {passed}",
+# every report's canonical JSON and the ledger's JSON lines.  Captured from
+# the object-route comparisons that the sweep rows replaced, so any drift is
+# a behaviour change, not a refactor.
+GOLDEN = {
+    "Lemma0.2": "cea78c574d8f340210f08e186cd7991021502f90c0f650dba89cfe433bb726f0",
+    "Thm0.3-CYBE": "85d5b6e07662f087314aa354918725e4abb14fc0b6a10befdf729897b210ba66",
+    "Thm0.3-QYBE": "a3eb623e5eda76e53cc0b51b592e6db07c9c7cc73765e4ecb8961d26c3469dbc",
+    "Cor0.4": "f6e52dd0eb95500217e3413090cc1f8d790a1c52b4a64d7b7662c271175653c4",
+    "Prop1.3": "efad05c55d5444c08662484110afa6f5496c918e20297ea202b74f77cb25fa56",
+    "Prop1.4": "12b3e606c62cfff81190d63e7f69dc433f86e4dd98a46d8e0d400e4ee58c7e9a",
+    "Example1.5": "8624d76aea7db4821376b891fe325fb5ede29c1f7ac039173ef5bfaf1795839e",
+    "Prop1.6": "f110f5015b914eab12aff5ab524730449913513f0d8520a4bb63b76f07457d9d",
+    "Lemma2.1.1": "399734186d58e3a79d66735e15a8d4318c63bd87d1e2d2ebf3aeeeffa474ab8a",
+    "Thm2.1": "6744e11e33bbd0f9456c3282021f4b746b57005f0a6d995acd8e9dce6b47b24d",
+    "Example2.2": "2a5dfedff40398d9576dd2db263269198d82eec9ecf469c5299271dfdd481ce7",
+    "Thm2.3-I": "5e49cda41d52b625033b21a97f98a7117af96e2311d01ae33f91fde2c803b159",
+    "Thm2.3-II": "e72531ea4d94be59029d49abcf5deac5b0c21a97dafd5d123c20ae296242e894",
+    "Thm2.4": "8f9dcba727f51688e026d2c214c31f8ab35ffcb670d6589a0ab10632b854450e",
+}
+
+
+@pytest.fixture(scope="session")
+def default_runs():
+    """One run of every suite on its default fields, shared by the tests."""
+    return {cid: claim_check(cid) for cid in CLAIM_IDS}
+
+
+def _digest(cid, res) -> str:
+    h = hashlib.sha256(f"{cid} {res.exit_code} {res.passed}\n".encode())
+    for rep in res.reports:
+        h.update(rep.canonical_json().encode() + b"\n")
+    h.update(res.ledger.to_json_lines().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cid", CLAIM_IDS)
+def test_claim_matches_golden(default_runs, cid):
+    assert _digest(cid, default_runs[cid]) == GOLDEN[cid]
 
 
 def test_registry_lists_all_claims():
@@ -46,8 +88,8 @@ def test_thm03_cybe_passes(f2):
     assert res.passed and res.exit_code == 0
 
 
-def test_thm03_qybe_passes():
-    res = claim_check("Thm0.3-QYBE")
+def test_thm03_qybe_passes(default_runs):
+    res = default_runs["Thm0.3-QYBE"]
     assert res.passed and res.exit_code == 0
     assert "16" in " ".join(res.notes)
 
@@ -100,8 +142,8 @@ def test_example15_inherits_00_defect(f2):
     assert res.reports[0].classifier_count == 32
 
 
-def test_prop16_clean_both_fields():
-    res = claim_check("Prop1.6")
+def test_prop16_clean_both_fields(default_runs):
+    res = default_runs["Prop1.6"]
     assert res.passed and res.exit_code == 0
     assert res.ledger.is_empty()
     cases = {rep.claim for rep in res.reports if rep.claim}
@@ -111,8 +153,8 @@ def test_prop16_clean_both_fields():
             assert rep.pred_only_count == rep.class_only_count == 0
 
 
-def test_lemma211_diagonal_reading(f2):
-    res = claim_check("Lemma2.1.1")
+def test_lemma211_diagonal_reading(default_runs):
+    res = default_runs["Lemma2.1.1"]
     assert res.passed and res.exit_code == 0
     joined = " ".join(res.notes)
     assert "192/192" in joined
@@ -126,8 +168,8 @@ def test_thm21_passes(f2):
         assert rep.pred_only_count == rep.class_only_count == 0
 
 
-def test_example22_middle_pinned(f2):
-    res = claim_check("Example2.2")
+def test_example22_middle_pinned(default_runs):
+    res = default_runs["Example2.2"]
     assert res.passed  # the two outer equivalences hold
     assert res.exit_code == 3  # but the middle one is pinned in the ledger
     by_claim = {rep.claim: rep for rep in res.reports}
@@ -149,8 +191,8 @@ def test_thm23_both_parts_clean():
         assert res.ledger.is_empty()
 
 
-def test_thm24_passes():
-    res = claim_check("Thm2.4")
+def test_thm24_passes(default_runs):
+    res = default_runs["Thm2.4"]
     assert res.passed and res.exit_code == 0
 
 

@@ -106,6 +106,15 @@ def test_enumerate_text_and_limit(capsys):
     assert "... (51 more)" in out
 
 
+def test_enumerate_rejects_negative_limit(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--field", "gf(2)", "--dim2", "nonabelian",
+        "--predicate", "cybe", "--limit", "-1",
+    )
+    assert code == 2
+    assert "limit" in err and out == ""
+
+
 def test_enumerate_json_solutions(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--field", "gf(2)", "--dim2", "nonabelian",

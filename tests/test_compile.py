@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from baxter import (
+    SweepSpec,
     Tensor2,
     build_selector_system,
     compile_selector,
@@ -11,6 +12,7 @@ from baxter import (
     make_family_bd,
     make_matrix_algebra,
     selector_predicate,
+    sweep,
 )
 from baxter._kernel import (
     CompiledSystem,
@@ -71,6 +73,43 @@ def test_routes_agree_prop16_case(f2):
     assert _kernel_solutions(L, "prop16-case") == (
         _object_solutions(L, "prop16-case")
     )
+
+
+# closed-form selectors and the family (ab or bd) whose parameters they read
+CLOSED_FORMS = (
+    ("expanded-relations", "ab"),
+    ("expanded-relations", "bd"),
+    ("su-family", "ab"),
+    ("su-family", "bd"),
+    ("im-and-alpha-beta-symmetric", "ab"),
+    ("bd-printed-coboundary", "bd"),
+    ("bd-printed-triangular", "bd"),
+)
+
+
+@pytest.mark.parametrize("name, family", CLOSED_FORMS)
+def test_routes_agree_closed_forms(f2, name, family):
+    if family == "ab":
+        L = make_family_ab(f2, f2.zero(), f2.one())
+    else:
+        L = make_family_bd(f2, f2.one(), f2.one())
+    assert _kernel_solutions(L, name) == _object_solutions(L, name)
+
+
+@pytest.mark.parametrize("fixture", ("f2", "f4"))
+def test_sweep_domain_counts_and_workers(request, fixture):
+    f = request.getfixturevalue(fixture)
+    L = make_family_ab(f, f.one(), f.one())
+    canon = []
+    for workers in (1, 2):
+        report = sweep(SweepSpec(
+            algebra=L, predicate="triangular",
+            classifier="im-and-alpha-beta-symmetric",
+            domain="im-one-minus-tau", workers=workers, chunk=1 << 12,
+        ))
+        assert report.total == f.q ** 3
+        canon.append(report.canonical_json())
+    assert canon[0] == canon[1]
 
 
 def test_routes_agree_qybe_dim2_slice(f2):

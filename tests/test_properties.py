@@ -1,5 +1,6 @@
-"""Property tests: the compiled kernel against the reference evaluator, and
-sweeps across worker counts, over random algebras in every characteristic.
+"""Property tests: the compiled kernel against the reference evaluator,
+sweeps across worker counts, and the QYBE sides against their definition,
+over random algebras in every characteristic.
 
 Lie algebras are drawn as ``span(u, v) x| w`` (an abelian plane on which
 ``w`` acts by a random matrix, which satisfies Jacobi for every matrix) in
@@ -11,7 +12,9 @@ import itertools
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from baxter import SweepSpec, compile_selector, field, sweep
+from baxter import (
+    SweepSpec, Tensor2, compile_selector, field, qybe_sides, sweep,
+)
 from baxter.algebra import StructureConstants, assoc_validate, lie_validate
 from baxter._kernel import evaluate_code, solutions_in_range
 
@@ -117,3 +120,37 @@ def test_sweep_identical_across_worker_counts(data, order):
         for workers in order
     }
     assert canon[1] == canon[2] == canon[3]
+
+
+def _qybe_reference(A, R):
+    """The six-index sums of the ``baxter.ybe`` docstring, term by term."""
+    n, a, k = A.dim, A.c, R.rows
+    zero = R.field.zero()
+    lhs = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    rhs = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j, l, s, u, t, v, m, w in itertools.product(range(n), repeat=9):
+        kk = k[s][u] * k[t][v] * k[m][w]
+        lhs[i][j][l] += kk * a[s][t][i] * a[u][m][j] * a[v][w][l]
+        rhs[i][j][l] += kk * a[t][m][i] * a[s][w][j] * a[u][v][l]
+    return lhs, rhs
+
+
+@settings(_settings, max_examples=50)
+@given(data=st.data())
+def test_qybe_sides_match_definition(data):
+    p, m, modulus = data.draw(st.sampled_from(FIELDS))
+    f = field(p, m, modulus)
+    kind = data.draw(st.sampled_from(("poly", "left", "right")))
+    if kind == "poly":
+        A = _assoc(data.draw, f, 2)
+    else:
+        # span(E11, E12) or span(E11, E21) inside M2: not commutative
+        e2_side = (0, 1) if kind == "left" else (1, 0)
+        A = assoc_validate(StructureConstants.from_terms(
+            f, 2, {(0, 0): {0: f.one()}, e2_side: {1: f.one()}},
+        ), label=kind)
+    R = Tensor2.decode(f, 2, data.draw(st.integers(0, f.q ** 4 - 1)))
+    lhs, rhs = qybe_sides(A, R)
+    want_lhs, want_rhs = _qybe_reference(A, R)
+    assert [list(map(list, b)) for b in lhs.coeffs] == want_lhs
+    assert [list(map(list, b)) for b in rhs.coeffs] == want_rhs

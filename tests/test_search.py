@@ -61,6 +61,11 @@ def test_selector_names_frozen():
         "triangular",
         "symmetric",
         "im-one-minus-tau",
+        "expanded-relations",
+        "su-family",
+        "im-and-alpha-beta-symmetric",
+        "bd-printed-coboundary",
+        "bd-printed-triangular",
     )
 
 
