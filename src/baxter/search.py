@@ -30,7 +30,8 @@ yields its survivors in ascending order, and the ranges are joined in
 order, so the report is identical for any worker count or chunk size.  With
 ``workers > 1`` (default from the ``YBE_WORKERS`` environment variable) the
 calling process and ``workers - 1`` helper processes, started on first use
-and kept for later sweeps, share the ranges.
+and kept for later sweeps, share the ranges; a worker count above the
+number of ranges is cut to it.
 """
 from __future__ import annotations
 
@@ -550,6 +551,7 @@ def _solve(pred_sys, class_sys, total: int, chunk: int, workers: int):
         return [_solve_block((pred_sys, class_sys, (0, total), chunk), 0)]
     bounds = tuple(total * k // _BLOCKS for k in range(_BLOCKS + 1))
     task = (pred_sys, class_sys, bounds, chunk)
+    workers = min(workers, _BLOCKS)  # a participant without a block idles
     if workers == 1:
         return [_solve_block(task, index) for index in range(_BLOCKS)]
     with _HELPERS_LOCK:

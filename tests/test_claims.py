@@ -3,7 +3,9 @@ import hashlib
 
 import pytest
 
-from baxter import CLAIM_IDS, claim_check, claim_default_fields, field
+from baxter import (
+    CLAIM_IDS, Tensor2, claim_check, claim_default_fields, field,
+)
 from baxter.errors import UnknownClaim
 
 # sha256 per claim, on its default fields, over "{cid} {exit_code} {passed}",
@@ -81,6 +83,38 @@ def test_lemma02_passes(f2):
     res = claim_check("Lemma0.2", fields=[f2])
     assert res.passed and res.exit_code == 0
     assert res.ledger.is_empty()
+
+
+def test_lemma02_invariance_check_catches_a_non_invariant_predicate(
+    f2, monkeypatch
+):
+    from baxter import ybe
+
+    monkeypatch.setattr(ybe, "is_strongly_symmetric",
+                        lambda r: r.rows[0][0] != r.field.zero())
+    res = claim_check("Lemma0.2", fields=[f2])
+    assert not res.passed
+    (note,) = [n for n in res.notes if "basis changes" in n]
+    assert "fails" in note
+
+
+def test_row_without_report_still_fails_and_pins(f2):
+    from baxter.claims import ClaimResult, _Row, _dim2_algebras, _run_rows
+
+    res = ClaimResult("x", True)
+    row = _Row("x", _dim2_algebras, "symmetric", "cybe", expect="subset",
+               report=False)
+    _run_rows(res, [row], [f2], 1)
+    assert not res.passed and res.exit_code == 3
+    assert res.reports == []
+    # the abelian algebra's 8 non-symmetric solutions; the non-abelian
+    # algebra's solutions are exactly the symmetric tensors
+    entries = res.ledger.to_list()
+    assert [e["encoding"] for e in entries] == [
+        code for code in range(16)
+        if not Tensor2.decode(f2, 2, code).is_symmetric()
+    ]
+    assert all(e["classifier"] and not e["predicate"] for e in entries)
 
 
 def test_thm03_cybe_passes(f2):

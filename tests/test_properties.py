@@ -1,5 +1,6 @@
-"""Property tests: the compiled kernel against the reference evaluator,
-sweeps across worker counts, and the QYBE sides against their definition,
+"""Property tests: the compiled kernel against the reference evaluator and
+the object route, sweeps across worker counts and against the same algebra
+read back from file text, and the QYBE sides against their definition,
 over random algebras in every characteristic.
 
 Lie algebras are drawn as ``span(u, v) x| w`` (an abelian plane on which
@@ -9,11 +10,13 @@ algebras are ``GF(q)[x]/(x^n - ...)`` with random coefficients, or the upper
 triangular 2x2 matrices.  Every draw goes through the library's validators.
 """
 import itertools
+import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from baxter import (
-    SweepSpec, Tensor2, compile_selector, field, qybe_sides, sweep,
+    SweepSpec, Tensor2, compile_selector, field, parse_algebra, qybe_sides,
+    selector_predicate, sweep,
 )
 from baxter.algebra import StructureConstants, assoc_validate, lie_validate
 from baxter._kernel import evaluate_code, solutions_in_range
@@ -102,6 +105,17 @@ def test_kernel_matches_reference_evaluator(data):
     got = solutions_in_range(system, start, stop, chunk).tolist()
     want = [c for c in range(start, stop) if evaluate_code(system, c)]
     assert got == want
+    # the object route on up to 8 solutions and 8 encodings of the range
+    member = selector_predicate(algebra, name)
+    codes = data.draw(st.lists(st.integers(start, max(start, stop - 1)),
+                               max_size=8))
+    if got:
+        codes += data.draw(st.lists(st.sampled_from(got), max_size=8))
+    kept = set(got)
+    for code in codes:
+        if code < stop:
+            r = Tensor2.decode(algebra.field, algebra.dim, code)
+            assert member(r) == (code in kept), code
 
 
 @settings(_settings, max_examples=30)
@@ -120,6 +134,38 @@ def test_sweep_identical_across_worker_counts(data, order):
         for workers in order
     }
     assert canon[1] == canon[2] == canon[3]
+
+
+def _bracket_text(L) -> str:
+    """``L`` as algebra-file text, every pair declared."""
+    lines = [f"field {L.field.literal()}", f"dim {L.dim}"]
+    for i, j in itertools.product(range(L.dim), repeat=2):
+        terms = [f"{k + 1}:{c.literal()}" for k, c in enumerate(L.c[i][j])
+                 if not c.is_zero()]
+        lines.append(" ".join([f"bracket {i + 1} {j + 1} ->", *terms]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(_settings, max_examples=20)
+@given(data=st.data())
+def test_file_defined_algebra_sweeps_like_in_memory(data):
+    p, m, modulus = data.draw(st.sampled_from(FIELDS))
+    f = field(p, m, modulus)
+    dim = data.draw(st.sampled_from(
+        [d for d in (2, 3) if f.q ** (d * d) <= 1 << 13]
+    ))
+    L = _lie(data.draw, f, dim)
+    name = data.draw(st.sampled_from(LIE_SELECTORS))
+
+    def report(algebra):
+        d = json.loads(sweep(SweepSpec(
+            algebra=algebra, predicate=name, classifier="symmetric",
+            keep_solutions=True,
+        )).canonical_json())
+        del d["algebra"]
+        return d
+
+    assert report(parse_algebra(_bracket_text(L))) == report(L)
 
 
 def _qybe_reference(A, R):

@@ -283,6 +283,27 @@ def test_sweep_more_workers_than_cores(f4):
     assert time.perf_counter() - t0 < 60
 
 
+def test_sweep_forks_no_more_helpers_than_blocks(f4, monkeypatch):
+    # With 4 ranges, a 6-worker sweep has work for the caller and 3 helpers.
+    from baxter import search
+
+    asked = []
+    real = search._helpers
+
+    def spy(count):
+        asked.append(count)
+        return real(count)
+
+    monkeypatch.setattr(search, "_BLOCKS", 4)
+    monkeypatch.setattr(search, "_helpers", spy)
+    L = make_family_bd(f4, f4.zero(), f4.element(2))
+    spec = dict(algebra=L, predicate="cybe", classifier="prop16-case",
+                chunk=1 << 12, keep_solutions=True)
+    got = sweep(SweepSpec(workers=6, **spec)).canonical_json()
+    assert asked and max(asked) <= 3
+    assert got == sweep(SweepSpec(workers=1, **spec)).canonical_json()
+
+
 def test_sweep_helper_failure_raises_and_pool_recovers(f4, monkeypatch):
     import os
     import time
