@@ -7,17 +7,26 @@ by replaying the generic object-level checks over a symbolic polynomial ring
 (:mod:`baxter._poly`), so this module never re-derives any mathematics -- it
 only evaluates.
 
-Evaluation grows big-endian prefixes of the tensor encodings one variable
-at a time over a numpy frontier of surviving prefixes and their digits.
-Each polynomial is folded through precomputed q-by-q multiplication tables
-(with the coefficient fused into the first pairwise product) as soon as its
-highest variable is assigned, and the frontier is compressed to the
-survivors; once no polynomial is left, the remaining digits are free and
-whole encoding ranges are emitted.  Characteristic 2 accumulates with XOR;
-other characteristics go through an addition table.
+Evaluation grows big-endian prefixes one variable at a time over a numpy
+frontier of surviving prefixes and their digits.  Each polynomial is folded
+through precomputed q-by-q multiplication tables (with the coefficient
+fused into the first pairwise product) as soon as its last variable is
+assigned, and the frontier is compressed to the survivors; once no
+polynomial is left, the remaining digits are free and whole ranges are
+emitted.  Characteristic 2 accumulates with XOR; other characteristics go
+through an addition table.
+
+Variables are assigned in the system's ``var_order``, natural (the tensor
+encoding's own digit order) by default; the prefixes are then *search
+codes*, and each call maps its survivors back to tensor encodings.
+:func:`plan` picks the order for a system: the natural order or the
+fail-first greedy order (next the variable that closes the most polys),
+whichever a sampled estimate of the kernel's work favours; greedy must
+win by a factor of ``_PLAN_GAIN``.
 """
 from __future__ import annotations
 
+import random
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -28,6 +37,7 @@ __all__ = [
     "CompiledSystem",
     "compile_polys",
     "solutions_in_range",
+    "plan",
     "evaluate_code",
 ]
 
@@ -41,6 +51,8 @@ class CompiledSystem(NamedTuple):
     nvars: int
     # tuple of polys; each poly a tuple of (coeff_encoding, var_indices)
     polys: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    # the variable the kernel assigns at each depth; None is 0, 1, 2, ...
+    var_order: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -120,9 +132,14 @@ def _fold_table(tables: dict, coeff: int) -> np.ndarray:
 
 def _levels(system: CompiledSystem) -> list[list]:
     """Polys grouped by the prefix depth at which their last variable is
-    assigned (depth 0 holds constant polys)."""
+    assigned (depth 0 holds constant polys), with each variable renamed to
+    the depth that assigns it."""
+    depth = list(range(system.nvars))
+    for d, v in enumerate(system.var_order or ()):
+        depth[v] = d
     levels = [[] for _ in range(system.nvars + 1)]
     for poly in system.polys:
+        poly = tuple((c, tuple(depth[v] for v in vs)) for c, vs in poly)
         top = max((v for _, vs in poly for v in vs), default=-1)
         levels[top + 1].append(poly)
     return levels
@@ -174,25 +191,44 @@ def _ranges(codes: np.ndarray, width: int, start: int, stop: int):
     return out
 
 
+def _encodings(codes: np.ndarray, var_order, q: int) -> np.ndarray:
+    """The tensor encodings of search codes, whose digit ``d`` is the
+    value of variable ``var_order[d]``."""
+    n = len(var_order)
+    out = np.zeros_like(codes)
+    for d in reversed(range(n)):
+        codes, digit = np.divmod(codes, np.uint64(q))
+        digit *= np.uint64(q ** (n - 1 - var_order[d]))
+        out += digit
+    return out
+
+
 def solutions_in_range(
     system: CompiledSystem,
     start: int,
     stop: int,
     chunk: int = 1 << 20,
 ) -> np.ndarray:
-    """All encodings in ``[start, stop)`` satisfying every polynomial.
+    """Encodings of the solutions whose search codes lie in ``[start, stop)``.
 
-    Returns a sorted ``uint64`` array.  Variables are assigned one at a time
-    in big-endian order over a frontier of surviving prefixes; each poly
-    prunes the frontier as soon as its last variable is assigned, and once
-    no poly is left the remaining digits are emitted as whole ranges.  A
-    frontier whose next expansion would exceed ``chunk`` candidates is
-    halved first and the halves are grown depth first, so peak memory stays
+    A search code is the big-endian number whose digit ``d`` is the value
+    of variable ``system.var_order[d]``; in natural order (``var_order``
+    None) it is the encoding itself.  Returns a ``uint64`` array in
+    ascending search-code order, which is ascending encoding order only in
+    natural order.  Variables are assigned one at a time in search order
+    over a frontier of surviving prefixes; each poly prunes the frontier as
+    soon as its last variable is assigned, and once no poly is left the
+    remaining digits are emitted as whole ranges.  A frontier whose next
+    expansion would exceed ``chunk`` candidates is halved first and the
+    halves are grown depth first, so peak memory stays
     ``O(max(chunk, q) * nvars)`` bytes plus the output, however large the
     range (a single prefix always expands to its ``q`` children).
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
+    order = system.var_order
+    if order is not None and sorted(order) != list(range(system.nvars)):
+        raise ValueError("var_order must be a permutation of the variables")
     tables = _tables(system)
     q = tables["q"]
     n = system.nvars
@@ -235,11 +271,94 @@ def solutions_in_range(
             parts.append(_ranges(codes, q ** (n - depth), start, stop))
     if not parts:
         return np.empty(0, dtype=np.uint64)
-    return np.concatenate(parts)
+    out = np.concatenate(parts)
+    if order is not None:
+        out = _encodings(out, order, q)
+    return out
+
+
+# -- choosing the variable order ---------------------------------------------
+
+_PLAN_SAMPLE = 256
+# Greedy order is taken only when estimated this many times cheaper than
+# natural order: the estimate is a sample, and a natural-order sweep's
+# ranges come out in encoding order and need no sort.
+_PLAN_GAIN = 2.0
+
+
+def _greedy_order(system: CompiledSystem) -> tuple[int, ...]:
+    """Fail first: next the variable that closes the most polys, ties broken
+    by the number of open polys it appears in, then by the lower index."""
+    open_vars = [{v for _, vs in poly for v in vs} for poly in system.polys]
+    open_vars = [vs for vs in open_vars if vs]
+    left = list(range(system.nvars))
+    order = []
+    while left:
+        v = max(left, key=lambda v: (
+            sum(vs == {v} for vs in open_vars),
+            sum(v in vs for vs in open_vars),
+        ))
+        order.append(v)
+        left.remove(v)
+        open_vars = [vs - {v} for vs in open_vars if vs != {v}]
+    return tuple(order)
+
+
+def _cost(system: CompiledSystem, tables: dict) -> float:
+    """Estimated kernel work over the whole space in ``system``'s order.
+
+    The frontier is grown level by level as in the kernel, but whenever
+    more than ``_PLAN_SAMPLE`` prefixes survive a level, a seeded sample of
+    that many is kept and each stands for its share of the survivors.  So
+    the estimate is exact while the frontier is small.  A level costs the
+    children built times (depth + terms evaluated per child).
+    """
+    q = tables["q"]
+    char2 = system.p == 2
+    rng = random.Random(0)  # a system always gets the same plan
+    levels = _levels(system)
+    last = max((d for d, polys in enumerate(levels) if polys), default=0)
+    digit_row = np.arange(q, dtype=np.uint8)
+    digits = np.empty((0, 1), dtype=np.uint8)
+    weight = 1.0  # prefixes of the real frontier per sampled prefix
+    cost = 0.0
+    for depth in range(1, last + 1):
+        size = digits.shape[1]
+        grown = np.empty((depth, size, q), dtype=np.uint8)
+        grown[:-1] = digits[:, :, None]
+        grown[-1] = digit_row
+        digits = grown.reshape(depth, size * q)
+        ids = np.arange(size * q)
+        terms = 0
+        for poly in levels[depth]:
+            terms += ids.size * len(poly)
+            ids, digits = _prune([poly], tables, char2, ids, digits)
+        cost += weight * (size * q * depth + terms)
+        if ids.size > _PLAN_SAMPLE:
+            weight *= ids.size / _PLAN_SAMPLE
+            digits = digits[:, rng.sample(range(ids.size), _PLAN_SAMPLE)]
+    return cost
+
+
+def plan(system: CompiledSystem) -> tuple[CompiledSystem, float, float]:
+    """``system`` in the cheaper of natural and greedy variable order, with
+    the estimated cost of each order (0 for a system without polys, which
+    keeps natural order)."""
+    natural = system._replace(var_order=None)
+    if not system.polys:
+        return natural, 0.0, 0.0
+    tables = _tables(system)
+    natural_cost = _cost(natural, tables)
+    greedy_sys = system._replace(var_order=_greedy_order(system))
+    greedy_cost = _cost(greedy_sys, tables)
+    if greedy_cost * _PLAN_GAIN <= natural_cost:
+        return greedy_sys, natural_cost, greedy_cost
+    return natural, natural_cost, greedy_cost
 
 
 def evaluate_code(system: CompiledSystem, code: int) -> bool:
-    """Reference single-candidate check, in pure field arithmetic."""
+    """Reference check of one tensor encoding (whatever the system's
+    ``var_order``), in pure field arithmetic."""
     f = system.field()
     q = f.q
     digits = []

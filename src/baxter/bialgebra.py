@@ -105,21 +105,28 @@ def adjoint_act3(L, xi: int, t: Tensor3, mode: str = "diagonal") -> Tensor3:
         ]
         return Tensor3(t.field, n, out)
     if mode == "cube":
+        # one slot at a time: 3 n^4 products instead of n^6
+        m = c[xi]
+        s1 = [
+            [
+                [sum((m[i][a] * T[i][j][l] for i in range(n)), zero)
+                 for l in range(n)]
+                for j in range(n)
+            ]
+            for a in range(n)
+        ]
+        s2 = [
+            [
+                [sum((m[j][b] * s1[a][j][l] for j in range(n)), zero)
+                 for l in range(n)]
+                for b in range(n)
+            ]
+            for a in range(n)
+        ]
         out = [
             [
-                [
-                    sum(
-                        (
-                            c[xi][i][a] * c[xi][j][b] * c[xi][l][d]
-                            * T[i][j][l]
-                            for i in range(n)
-                            for j in range(n)
-                            for l in range(n)
-                        ),
-                        zero,
-                    )
-                    for d in range(n)
-                ]
+                [sum((m[l][d] * s2[a][b][l] for l in range(n)), zero)
+                 for d in range(n)]
                 for b in range(n)
             ]
             for a in range(n)

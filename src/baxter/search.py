@@ -24,10 +24,14 @@ step by construction and cross-checked in the test suite:
   generic code over a polynomial ring and hands the frozen system to the
   vectorized evaluator in :mod:`baxter._kernel`.
 
-Sweeps are deterministic: a sweep larger than its ``chunk`` is cut into a
-fixed number of equal encoding ranges whatever the worker count, each range
-yields its survivors in ascending order, and the ranges are joined in
-order, so the report is identical for any worker count or chunk size.  With
+Sweeps are deterministic: a sweep larger than its ``chunk`` runs each
+compiled system in the variable order :func:`baxter._kernel.plan` picks
+for it, cut into a fixed number of equal ranges of that order's search
+codes whatever the worker count; each range returns its survivors as
+tensor encodings, and the joined ranges are sorted once (unless the order
+is natural, where they already ascend), so the report is identical for
+any worker count, chunk size or variable order.  The chosen orders and
+their estimated costs go to the ``baxter`` logger at DEBUG.  With
 ``workers > 1`` (default from the ``YBE_WORKERS`` environment variable) the
 calling process and ``workers - 1`` helper processes, started on first use
 and kept for later sweeps, share the ranges; a worker count above the
@@ -36,6 +40,7 @@ number of ranges is cut to it.
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bialgebra, ybe
-from ._kernel import CompiledSystem, compile_polys, solutions_in_range
+from ._kernel import CompiledSystem, compile_polys, plan, solutions_in_range
 from ._poly import PolyRing
 from .algebra import AssocAlgebra, LieAlgebra
 from .errors import InputError, SweepTooLarge
@@ -71,6 +76,8 @@ __all__ = [
     "LedgerEntry",
     "DiscrepancyLedger",
 ]
+
+_LOG = logging.getLogger("baxter")
 
 MAX_SWEEP = 1 << 40
 COUNTEREXAMPLE_CAP = 16
@@ -546,16 +553,43 @@ def _helpers(count: int) -> _Helpers:
 
 
 def _solve(pred_sys, class_sys, total: int, chunk: int, workers: int):
-    """Per-block ``(pred, class)`` survivor arrays covering ``[0, total)``."""
+    """Ascending ``(pred, class)`` solution arrays over all ``total``
+    encodings; ``class`` is None without a classifier system.
+
+    A sweep larger than ``chunk`` runs each system in the variable order
+    :func:`baxter._kernel.plan` picks for it, cut into ``_BLOCKS`` ranges
+    of that system's search codes; each range comes back as encodings, and
+    the joined ranges are sorted unless the order is natural.
+    """
     if total <= chunk:
-        return [_solve_block((pred_sys, class_sys, (0, total), chunk), 0)]
+        return _solve_block((pred_sys, class_sys, (0, total), chunk), 0)
+    systems = [pred_sys, class_sys]
+    notes = []
+    for side, role in enumerate(("predicate", "classifier")):
+        if systems[side] is not None:
+            systems[side], natural, greedy = plan(systems[side])
+            notes.append(
+                f"{role} {systems[side].var_order or 'natural'}, estimated"
+                f" cost natural {natural:.3g} greedy {greedy:.3g}"
+            )
+    _LOG.debug("variable order: %s", "; ".join(notes))
     bounds = tuple(total * k // _BLOCKS for k in range(_BLOCKS + 1))
-    task = (pred_sys, class_sys, bounds, chunk)
+    task = (*systems, bounds, chunk)
     workers = min(workers, _BLOCKS)  # a participant without a block idles
     if workers == 1:
-        return [_solve_block(task, index) for index in range(_BLOCKS)]
-    with _HELPERS_LOCK:
-        return _helpers(workers - 1).run(task, workers - 1)
+        parts = [_solve_block(task, index) for index in range(_BLOCKS)]
+    else:
+        with _HELPERS_LOCK:
+            parts = _helpers(workers - 1).run(task, workers - 1)
+    out = []
+    for side, system in enumerate(systems):
+        joined = None
+        if system is not None:
+            joined = np.concatenate([part[side] for part in parts])
+            if system.var_order is not None:
+                joined.sort()
+        out.append(joined)
+    return tuple(out)
 
 
 @dataclass
@@ -629,13 +663,17 @@ def sweep(spec: SweepSpec) -> SolutionReport:
     if spec.limit is not None and spec.limit < 0:
         raise InputError("limit must be >= 0")
     ring = PolyRing(f, n * n)
-    domain = []
-    if spec.domain is not None:
-        domain = build_selector_system(algebra, spec.domain, ring)
+    built = {}
+
+    def polys(name):
+        if name not in built:
+            built[name] = build_selector_system(algebra, name, ring)
+        return built[name]
+
+    domain = [] if spec.domain is None else polys(spec.domain)
 
     def system(name):
-        polys = build_selector_system(algebra, name, ring)
-        return compile_polys(ring, [*polys, *domain])
+        return compile_polys(ring, [*polys(name), *domain])
 
     pred_sys = system(spec.predicate)
     class_sys = None
@@ -643,20 +681,23 @@ def sweep(spec: SweepSpec) -> SolutionReport:
         class_sys = system(spec.classifier)
     workers = resolve_workers(spec.workers)
     t0 = time.perf_counter()
-    parts = _solve(pred_sys, class_sys, space, spec.chunk, workers)
+    pred, cls = _solve(pred_sys, class_sys, space, spec.chunk, workers)
     total = space
     if spec.domain is not None:
         dom_sys = compile_polys(ring, domain)
-        total = int(solutions_in_range(dom_sys, 0, space, spec.chunk).size)
+        if dom_sys == class_sys:
+            total = int(cls.size)
+        else:
+            total = int(
+                solutions_in_range(dom_sys, 0, space, spec.chunk).size
+            )
     duration_ms = (time.perf_counter() - t0) * 1000.0
 
-    pred = np.concatenate([pr for pr, _ in parts])
     if class_sys is None:
         classifier_count = None
         pred_only = class_only = pred[:0]
         agreement = None
     else:
-        cls = np.concatenate([cl for _, cl in parts])
         classifier_count = int(cls.size)
         pred_only = np.setdiff1d(pred, cls, assume_unique=True)
         class_only = np.setdiff1d(cls, pred, assume_unique=True)

@@ -1,4 +1,6 @@
 """Cobracket, co-Jacobi defect, coboundary and triangular predicates."""
+import itertools
+
 import pytest
 
 from baxter import (
@@ -112,7 +114,6 @@ def test_adjoint_act3_diagonal_matches_defect(f2):
 
 def test_adjoint_act3_cube_differs_somewhere(f2):
     """The tensor-cube reading is NOT the operative one."""
-    o = f2.one()
     L = make_family_bd(f2, f2.zero(), f2.zero())
     mismatches = 0
     for code in range(512):
@@ -123,6 +124,20 @@ def test_adjoint_act3_cube_differs_somewhere(f2):
         defects = cojacobi_defect(L, r)
         for x in range(3):
             cube = adjoint_act3(L, x, res, mode="cube")
+            m, T = L.c[x], res.coeffs
+            assert cube.coeffs == tuple(
+                tuple(
+                    tuple(
+                        sum((m[i][a] * m[j][b] * m[l][d] * T[i][j][l]
+                             for i, j, l in itertools.product(range(3),
+                                                              repeat=3)),
+                            f2.zero())
+                        for d in range(3)
+                    )
+                    for b in range(3)
+                )
+                for a in range(3)
+            )
             if cube.coeffs != defects[x].coeffs:
                 mismatches += 1
     assert mismatches > 0

@@ -6,6 +6,7 @@ from baxter import (
     SweepSpec,
     Tensor2,
     build_selector_system,
+    commutator_lie,
     compile_selector,
     make_dim2,
     make_family_ab,
@@ -18,6 +19,7 @@ from baxter._kernel import (
     CompiledSystem,
     compile_polys,
     evaluate_code,
+    plan,
     solutions_in_range,
 )
 from baxter._poly import PolyRing
@@ -216,3 +218,18 @@ def test_solutions_dtype_and_order(f4):
     sols = solutions_in_range(system, 0, 256)
     assert sols.dtype == np.uint64
     assert list(sols) == sorted(sols)
+
+
+def test_plan_keeps_natural_order_where_it_is_cheaper(f4, f8):
+    def order(algebra, name):
+        return plan(compile_selector(algebra, name))[0].var_order
+
+    # fail first pays off on the char-2 CYBE families ...
+    assert order(make_family_ab(f8, f8.one(), f8.one()), "cybe") is not None
+    # ... and backfires on M2 QYBE, or gains too little to sort for
+    m2 = make_matrix_algebra(f4, 2)
+    assert order(m2, "qybe") is None
+    assert order(commutator_lie(m2), "strongly-symmetric") is None
+    empty = compile_selector(make_dim2(f4, "abelian"), "cybe")
+    assert plan(empty) == (empty, 0.0, 0.0)
+

@@ -1,7 +1,9 @@
-"""Property tests: the compiled kernel against the reference evaluator and
-the object route, sweeps across worker counts and against the same algebra
-read back from file text, and the QYBE sides against their definition,
-over random algebras in every characteristic.
+"""Property tests: the compiled kernel, in natural and in drawn variable
+orders, against the reference evaluator and the object route, sweeps
+across worker counts and against the same algebra read back from file
+text, metamorphic checks (basis changes, scalars) that need neither route,
+and the QYBE sides against their definition, over random algebras in every
+characteristic.
 
 Lie algebras are drawn as ``span(u, v) x| w`` (an abelian plane on which
 ``w`` acts by a random matrix, which satisfies Jacobi for every matrix) in
@@ -12,13 +14,17 @@ triangular 2x2 matrices.  Every draw goes through the library's validators.
 import itertools
 import json
 
+import numpy as np
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from baxter import (
-    SweepSpec, Tensor2, compile_selector, field, parse_algebra, qybe_sides,
-    selector_predicate, sweep,
+    BasisChange, SweepSpec, Tensor2, compile_selector, field, parse_algebra,
+    qybe_sides, selector_predicate, sweep,
 )
-from baxter.algebra import StructureConstants, assoc_validate, lie_validate
+from baxter.algebra import (
+    LieAlgebra, StructureConstants, assoc_validate, lie_validate,
+)
 from baxter._kernel import evaluate_code, solutions_in_range
 
 # (p, m, modulus) for q in {2, 3, 4, 5, 7, 8, 9}
@@ -93,29 +99,47 @@ def algebras(draw, max_total=None):
     return _lie(draw, f, dim), draw(st.sampled_from(LIE_SELECTORS))
 
 
+def _encoding(code: int, order, q: int) -> int:
+    """The tensor encoding of a search code whose digit ``d`` is the value
+    of variable ``order[d]`` (the code itself in natural order)."""
+    if order is None:
+        return code
+    digits = [0] * len(order)
+    for var in reversed(order):
+        code, digits[var] = divmod(code, q)
+    encoding = 0
+    for digit in digits:
+        encoding = encoding * q + digit
+    return encoding
+
+
 @_settings
 @given(data=st.data())
 def test_kernel_matches_reference_evaluator(data):
     algebra, name = data.draw(algebras())
     system = compile_selector(algebra, name)
-    total = system.order ** system.nvars
+    order = data.draw(st.none() | st.permutations(range(system.nvars)))
+    system = system._replace(var_order=order)
+    q = system.order
+    total = q ** system.nvars
     start = data.draw(st.integers(0, total - 1))
     stop = data.draw(st.integers(start, min(total, start + 1500)))
     chunk = data.draw(st.sampled_from(CHUNKS))
     got = solutions_in_range(system, start, stop, chunk).tolist()
-    want = [c for c in range(start, stop) if evaluate_code(system, c)]
+    want = [e for e in (_encoding(c, order, q) for c in range(start, stop))
+            if evaluate_code(system, e)]
     assert got == want
     # the object route on up to 8 solutions and 8 encodings of the range
     member = selector_predicate(algebra, name)
     codes = data.draw(st.lists(st.integers(start, max(start, stop - 1)),
                                max_size=8))
+    codes = [_encoding(c, order, q) for c in codes if c < stop]
     if got:
         codes += data.draw(st.lists(st.sampled_from(got), max_size=8))
     kept = set(got)
     for code in codes:
-        if code < stop:
-            r = Tensor2.decode(algebra.field, algebra.dim, code)
-            assert member(r) == (code in kept), code
+        r = Tensor2.decode(algebra.field, algebra.dim, code)
+        assert member(r) == (code in kept), code
 
 
 @settings(_settings, max_examples=30)
@@ -134,6 +158,85 @@ def test_sweep_identical_across_worker_counts(data, order):
         for workers in order
     }
     assert canon[1] == canon[2] == canon[3]
+
+
+def _inverse(f, m):
+    """Gauss-Jordan inverse of an invertible matrix over ``f``."""
+    n = len(m)
+    rows = [list(row) + [f.one() if i == j else f.zero() for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if not rows[r][col].is_zero())
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].inverse()
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(n):
+            if r != col:
+                c = rows[r][col]
+                rows[r] = [v - c * w for v, w in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _in_basis(algebra, q):
+    """``algebra`` written in the basis ``f_i = sum_s q[s][i] e_s``."""
+    f, n, c = algebra.field, algebra.dim, algebra.c
+    inv = _inverse(f, q)
+    r = range(n)
+    moved = [[[sum((q[s][i] * q[t][j] * c[s][t][u] * inv[k][u]
+                    for s in r for t in r for u in r), f.zero())
+               for k in r] for j in r] for i in r]
+    validate = (lie_validate if isinstance(algebra, LieAlgebra)
+                else assoc_validate)
+    return validate(StructureConstants(f, n, moved), label="moved")
+
+
+@settings(_settings, max_examples=25)
+@given(data=st.data())
+def test_solution_counts_invariant_under_basis_change(data):
+    algebra, name = data.draw(algebras(max_total=1 << 13))
+    f, n = algebra.field, algebra.dim
+    # P L U with L unit lower and U invertible upper triangular: every
+    # invertible matrix has this form, and the smallest draw is the identity
+    def entry(low):
+        return f.element(data.draw(st.integers(low, f.q - 1)))
+
+    lower = [[entry(0) if j < i else f.element(int(i == j))
+              for j in range(n)] for i in range(n)]
+    upper = [[entry(int(i == j)) if j >= i else f.zero()
+              for j in range(n)] for i in range(n)]
+    lu = [[sum((lower[i][k] * upper[k][j] for k in range(n)), f.zero())
+           for j in range(n)] for i in range(n)]
+    change = BasisChange(f, [lu[i] for i in data.draw(st.permutations(range(n)))])
+    moved = _in_basis(algebra, change.matrix)
+    chunk = data.draw(st.sampled_from(CHUNKS))
+    here, there = (
+        sweep(SweepSpec(algebra=a, predicate=name, chunk=chunk,
+                        keep_solutions=True))
+        for a in (algebra, moved)
+    )
+    assert here.predicate_count == there.predicate_count
+    # the change maps solutions in the new basis to solutions in the old
+    kept = set(here.solutions)
+    for code in there.solutions[:8]:
+        r = Tensor2.decode(f, n, code)
+        assert change.apply_t2(r).encode() in kept, code
+
+
+@settings(_settings, max_examples=25)
+@given(data=st.data())
+def test_ybe_solutions_closed_under_scalars(data):
+    # CYBE is homogeneous quadratic in r, QYBE homogeneous cubic
+    algebra, name = data.draw(algebras(max_total=1 << 13))
+    name = "qybe" if name == "qybe" else "cybe"
+    f, n = algebra.field, algebra.dim
+    c = data.draw(st.integers(1, f.q - 1))
+    sols = sweep(SweepSpec(algebra=algebra, predicate=name,
+                           keep_solutions=True)).solutions
+    weights = f.q ** np.arange(n * n - 1, -1, -1)
+    digits = np.array(sols, dtype=np.int64)[:, None] // weights % f.q
+    times_c = np.array([f.mul_i(c, d) for d in range(f.q)])
+    scaled = (times_c[digits] * weights).sum(axis=1)
+    assert sorted(scaled.tolist()) == sols
 
 
 def _bracket_text(L) -> str:

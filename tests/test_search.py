@@ -1,5 +1,6 @@
 """Sweeps: determinism, reports, ledger, selectors, worker resolution."""
 import json
+import logging
 
 import pytest
 
@@ -329,3 +330,19 @@ def test_sweep_helper_failure_raises_and_pool_recovers(f4, monkeypatch):
     monkeypatch.undo()  # the next sweep forks unpatched helpers
     assert (sweep(SweepSpec(workers=2, **spec)).canonical_json()
             == sweep(SweepSpec(workers=1, **spec)).canonical_json())
+
+
+def test_planned_sweep_logs_its_variable_order(f4, caplog):
+    L = make_family_bd(f4, f4.zero(), f4.element(2))
+    spec = dict(algebra=L, predicate="cybe", classifier="prop16-case",
+                keep_solutions=True)
+    with caplog.at_level(logging.DEBUG, logger="baxter"):
+        planned = sweep(SweepSpec(chunk=1 << 12, **spec))
+        one_chunk = sweep(SweepSpec(**spec))
+    lines = [r.getMessage() for r in caplog.records if r.name == "baxter"]
+    assert len(lines) == 1  # only the sweep cut into ranges is planned
+    assert lines[0].startswith("variable order: predicate ")
+    assert "; classifier " in lines[0] and "greedy" in lines[0]
+    assert planned.canonical_json() == one_chunk.canonical_json()
+    assert "order" not in planned.canonical_json()
+
