@@ -121,20 +121,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash((id(self.ring), tuple(sorted(self.terms.items()))))
 
-    def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=-1)
-
-    def evaluate(self, values: list[int]) -> int:
-        """Evaluate at integer-encoded variable values (reference path)."""
-        base = self.ring.base
-        acc = 0
-        for mono, coeff in self.terms.items():
-            val = coeff
-            for v in mono:
-                val = base.mul_i(val, values[v])
-            acc = base.add_i(acc, val)
-        return acc
-
     def __repr__(self) -> str:
         if not self.terms:
             return "Poly(0)"

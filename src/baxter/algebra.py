@@ -92,16 +92,6 @@ class StructureConstants:
                 c[i][j][k] = coeff
         return cls(field, dim, c)
 
-    def nonzero(self):
-        zero = self.field.zero()
-        return [
-            (i, j, k, self.c[i][j][k])
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-            if self.c[i][j][k] != zero
-        ]
-
 
 def _check_params(field, *params) -> None:
     for p in params:

@@ -17,13 +17,24 @@ one slot at a time, the reading under which the stated co-Jacobi identity
 holds) and ``"cube"`` (acting on every slot simultaneously, kept so the two
 readings can be compared empirically).
 
-Everything is generic over ring scalars, as in :mod:`baxter.ybe`.
+Each formula is one ``tensor._contract`` call per term, with label strings
+that spell the indices of the formula written in its docstring; those
+formulas are the specification the code follows.  Everything is generic
+over ring scalars, as in :mod:`baxter.ybe`.
 """
 from __future__ import annotations
 
-from .errors import DimensionMismatch, FieldMismatch
-from .tensor import NamedCoeffs, Tensor2, Tensor3, im_one_minus_tau_member
-from .ybe import cybe_residual
+from .errors import DimensionMismatch
+from .tensor import (
+    NamedCoeffs,
+    Tensor2,
+    Tensor3,
+    _contract,
+    _from_sparse,
+    _nonzero_entries,
+    im_one_minus_tau_member,
+)
+from .ybe import _check_pair, cybe_residual
 
 __all__ = [
     "adjoint_act2",
@@ -39,34 +50,17 @@ __all__ = [
 ]
 
 
-def _check_pair(L, r) -> None:
-    if L.field is not r.field:
-        raise FieldMismatch("algebra and tensor over different fields")
-    if L.dim != r.dim:
-        raise DimensionMismatch(f"algebra dim {L.dim} vs tensor dim {r.dim}")
-
-
 def adjoint_act2(L, xi: int, r: Tensor2) -> Tensor2:
     """``(ad_{e_xi} (x) 1 + 1 (x) ad_{e_xi})(r)`` -- the cobracket of e_xi."""
     _check_pair(L, r)
-    n = r.dim
     zero = r.field.zero()
-    c = L.c
-    k = r.rows
-    out = [
-        [
-            sum(
-                (
-                    c[xi][i][a] * k[i][b] + c[xi][i][b] * k[a][i]
-                    for i in range(n)
-                ),
-                zero,
-            )
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    return Tensor2(r.field, n, out)
+    m = _nonzero_entries(L.c[xi], 2, zero)
+    k = _nonzero_entries(r.rows, 2, zero)
+    return _from_sparse(
+        r.field, r.dim, 2,
+        _contract("ab", [("ia", m), ("ib", k)]),
+        _contract("ab", [("ib", m), ("ai", k)]),
+    )
 
 
 cobracket = adjoint_act2
@@ -75,64 +69,31 @@ cobracket = adjoint_act2
 def adjoint_act3(L, xi: int, t: Tensor3, mode: str = "diagonal") -> Tensor3:
     """Adjoint action of ``e_xi`` on a third tensor power.
 
-    ``mode="diagonal"``: ``ad (x) 1 (x) 1 + 1 (x) ad (x) 1 + 1 (x) 1 (x) ad``.
-    ``mode="cube"``: ``ad (x) ad (x) ad`` applied to every slot at once.
+    ``mode="diagonal"``: ``ad (x) 1 (x) 1 + 1 (x) ad (x) 1 + 1 (x) 1 (x) ad``,
+    ``out[a][b][d] = sum_i ( c[xi][i][a] T[i][b][d] + c[xi][i][b] T[a][i][d]
+    + c[xi][i][d] T[a][b][i] )``.
+    ``mode="cube"``: ``ad (x) ad (x) ad`` applied to every slot at once,
+    ``out[a][b][d] = sum_{i,j,l} c[xi][i][a] c[xi][j][b] c[xi][l][d]
+    T[i][j][l]``.
     """
     if L.dim != t.dim:
         raise DimensionMismatch(f"algebra dim {L.dim} vs tensor dim {t.dim}")
-    n = t.dim
+    if mode not in ("diagonal", "cube"):
+        raise ValueError(f"unknown mode {mode!r}")
     zero = t.field.zero()
-    c = L.c
-    T = t.coeffs
+    m = _nonzero_entries(L.c[xi], 2, zero)
+    T = _nonzero_entries(t.coeffs, 3, zero)
     if mode == "diagonal":
-        out = [
-            [
-                [
-                    sum(
-                        (
-                            c[xi][i][a] * T[i][b][d]
-                            + c[xi][i][b] * T[a][i][d]
-                            + c[xi][i][d] * T[a][b][i]
-                            for i in range(n)
-                        ),
-                        zero,
-                    )
-                    for d in range(n)
-                ]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        return Tensor3(t.field, n, out)
-    if mode == "cube":
-        # one slot at a time: 3 n^4 products instead of n^6
-        m = c[xi]
-        s1 = [
-            [
-                [sum((m[i][a] * T[i][j][l] for i in range(n)), zero)
-                 for l in range(n)]
-                for j in range(n)
-            ]
-            for a in range(n)
-        ]
-        s2 = [
-            [
-                [sum((m[j][b] * s1[a][j][l] for j in range(n)), zero)
-                 for l in range(n)]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        out = [
-            [
-                [sum((m[l][d] * s2[a][b][l] for l in range(n)), zero)
-                 for d in range(n)]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        return Tensor3(t.field, n, out)
-    raise ValueError(f"unknown mode {mode!r}")
+        parts = (
+            _contract("abd", [("ia", m), ("ibd", T)]),
+            _contract("abd", [("ib", m), ("aid", T)]),
+            _contract("abd", [("id", m), ("abi", T)]),
+        )
+    else:
+        # summing one slot index per join: 3 n^4 products, not n^6
+        parts = (_contract("abd", [("ijl", T), ("ia", m), ("jb", m),
+                                   ("ld", m)]),)
+    return _from_sparse(t.field, t.dim, 3, *parts)
 
 
 def cojacobi_defect(L, r: Tensor2) -> tuple[Tensor3, ...]:
@@ -143,26 +104,17 @@ def cojacobi_defect(L, r: Tensor2) -> tuple[Tensor3, ...]:
     satisfies co-Jacobi iff every returned tensor is zero.
     """
     _check_pair(L, r)
-    n = r.dim
     zero = r.field.zero()
-    deltas = [adjoint_act2(L, b, r) for b in range(n)]
+    deltas = [
+        _nonzero_entries(adjoint_act2(L, b, r).rows, 2, zero)
+        for b in range(r.dim)
+    ]
+    every = [((b, *cd), v) for b, delta in enumerate(deltas) for cd, v in delta]
     out = []
-    for x in range(n):
-        dx = deltas[x].rows
-        T = [
-            [
-                [
-                    sum(
-                        (dx[a][b] * deltas[b].rows[cc][d] for b in range(n)),
-                        zero,
-                    )
-                    for d in range(n)
-                ]
-                for cc in range(n)
-            ]
-            for a in range(n)
-        ]
-        t3 = Tensor3(r.field, n, T)
+    for dx in deltas:
+        t3 = _from_sparse(
+            r.field, r.dim, 3, _contract("acd", [("ab", dx), ("bcd", every)])
+        )
         cyc = t3.cycle()
         out.append(t3.add(cyc).add(cyc.cycle()))
     return tuple(out)

@@ -241,9 +241,6 @@ class Field:
         mod = bin(self.modulus) if self.p == 2 else str(self.modulus)
         return f"gf({self.p}^{self.m};{mod})"
 
-    def key(self) -> tuple[int, int, int | None]:
-        return (self.p, self.m, self.modulus)
-
     def __repr__(self) -> str:
         return f"Field({self.literal()})"
 

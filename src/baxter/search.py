@@ -638,9 +638,6 @@ class SolutionReport:
             d["duration_ms"] = self.duration_ms
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def canonical_json(self) -> str:
         return json.dumps(
             self.to_dict(include_duration=False),

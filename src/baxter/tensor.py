@@ -8,10 +8,19 @@ digits, so ascending encodings agree with lexicographic coefficient order.
 The flip ``tau`` swaps the two slots of a ``Tensor2``; the 3-cycle ``xi`` on a
 ``Tensor3`` is ``result[i][j][l] = T[j][l][i]``, i.e. it sends
 ``a (x) b (x) c`` to ``c (x) a (x) b`` at coefficient level.
+
+Every index sum of the package (Yang-Baxter brackets and sides, adjoint
+actions, the co-Jacobi product, basis changes) is an ``einsum``-style call of
+the sparse contraction ``_contract``, and ``_from_sparse`` makes its result
+dense.  It only adds and multiplies, so it runs on field elements and on
+symbolic polynomials alike.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -56,8 +65,7 @@ class Tensor2:
 
     @classmethod
     def zero(cls, field, dim: int) -> "Tensor2":
-        z = field.zero()
-        return cls(field, dim, [[z] * dim for _ in range(dim)])
+        return _from_sparse(field, dim, 2)
 
     @classmethod
     def from_flat(cls, field, dim: int, flat) -> "Tensor2":
@@ -109,12 +117,6 @@ class Tensor2:
         if not isinstance(other, Tensor2):
             return NotImplemented
         return self.add(other)
-
-    def scale(self, c) -> "Tensor2":
-        return Tensor2(
-            self.field, self.dim,
-            [[c * v for v in row] for row in self.rows],
-        )
 
     def flip(self) -> "Tensor2":
         """The flip ``tau``: swap the two tensor slots (transpose)."""
@@ -182,11 +184,7 @@ class Tensor3:
 
     @classmethod
     def zero(cls, field, dim: int) -> "Tensor3":
-        z = field.zero()
-        return cls(
-            field, dim,
-            [[[z] * dim for _ in range(dim)] for _ in range(dim)],
-        )
+        return _from_sparse(field, dim, 3)
 
     def __getitem__(self, ijl):
         i, j, l = ijl
@@ -216,15 +214,6 @@ class Tensor3:
             return NotImplemented
         return self.add(other)
 
-    def scale(self, c) -> "Tensor3":
-        return Tensor3(
-            self.field, self.dim,
-            [
-                [[c * v for v in plane] for plane in block]
-                for block in self.coeffs
-            ],
-        )
-
     def cycle(self) -> "Tensor3":
         """The 3-cycle ``xi``: ``result[i][j][l] = T[j][l][i]``."""
         n = self.dim
@@ -248,9 +237,7 @@ class Tensor3:
 
     def nonzero_entries(self):
         zero = self.field.zero()
-        return [
-            (i, j, l, v) for i, j, l, v in self.entries() if v != zero
-        ]
+        return [(*ijl, v) for ijl, v in _nonzero_entries(self.coeffs, 3, zero)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -269,6 +256,100 @@ class Tensor3:
         ]
         body = " ".join(nz) if nz else "0"
         return f"Tensor3({self.field.literal()}, dim={self.dim}, {body})"
+
+
+# ---------------------------------------------------------------------------
+# sparse contraction
+
+
+def _nonzero_entries(rows, rank: int, zero):
+    """``(index_tuple, value)`` for every nonzero entry of a nested
+    ``rank``-deep square sequence."""
+    out = []
+    for idx in itertools.product(range(len(rows)), repeat=rank):
+        v = rows
+        for i in idx:
+            v = v[i]
+        if v != zero:
+            out.append((idx, v))
+    return out
+
+
+def _picker(positions):
+    """``t -> tuple(t[p] for p in positions)`` as one call."""
+    if len(positions) == 1:
+        return lambda t, p=positions[0]: (t[p],)
+    return itemgetter(*positions) if positions else lambda t: ()
+
+
+@functools.cache
+def _plan(out: str, labels: tuple[str, ...]):
+    """Where ``_contract`` reads each index, worked out once per formula.
+
+    Per factor: the labels it shares with the running key, picked from the
+    key and from the factor's index, and the labels still needed after it,
+    picked from the two concatenated; last, ``out`` from the final key.
+    """
+    steps, held = [], ""
+    for pos, flabels in enumerate(labels):
+        needed = set(out).union(*labels[pos + 1:])
+        joined = held + flabels
+        kept = "".join(
+            c for i, c in enumerate(joined)
+            if c in needed and joined.index(c) == i
+        )
+        shared = [c for c in flabels if c in held]
+        steps.append((
+            _picker([held.index(c) for c in shared]),
+            _picker([flabels.index(c) for c in shared]),
+            _picker([joined.index(c) for c in kept]),
+        ))
+        held = kept
+    return tuple(steps), _picker([held.index(c) for c in out])
+
+
+def _contract(out: str, factors) -> dict:
+    """Sum over every index not in ``out`` of the product of ``factors``.
+
+    Each factor is ``(labels, entries)``: nonzero entries as
+    ``(index_tuple, value)`` pairs, one index per letter of ``labels``.
+    Factors are joined left to right and an index is summed out as soon as
+    neither a later factor nor ``out`` names it, so the factor order sets
+    the size of every intermediate.  Returns ``{out index tuple: value}``
+    with absent keys meaning zero.
+    """
+    steps, final = _plan(out, tuple(labels for labels, _ in factors))
+    terms = {(): None}
+    for (on_key, on_factor, kept), (_, entries) in zip(steps, factors):
+        groups: dict[tuple, list] = {}
+        for idx, v in entries:
+            groups.setdefault(on_factor(idx), []).append((idx, v))
+        nxt: dict[tuple, object] = {}
+        for key, acc in terms.items():
+            for idx, v in groups.get(on_key(key), ()):
+                k = kept(key + idx)
+                prod = v if acc is None else acc * v
+                nxt[k] = nxt[k] + prod if k in nxt else prod
+        terms = nxt
+    return {final(k): v for k, v in terms.items()}
+
+
+def _from_sparse(field, dim: int, rank: int, *parts):
+    """The ``Tensor2`` (rank 2) or ``Tensor3`` (rank 3) summing the sparse
+    ``{index_tuple: value}`` dicts ``parts``; absent indices are zero."""
+    total: dict[tuple, object] = {}
+    for part in parts:
+        for idx, v in part.items():
+            total[idx] = total[idx] + v if idx in total else v
+    zero = field.zero()
+    n = range(dim)
+    if rank == 2:
+        return Tensor2(
+            field, dim, [[total.get((i, j), zero) for j in n] for i in n]
+        )
+    return Tensor3(field, dim, [
+        [[total.get((i, j, l), zero) for l in n] for j in n] for i in n
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -392,42 +473,29 @@ class BasisChange:
             raise FieldMismatch("tensor and basis change over different fields")
         if r.dim != self.dim:
             raise DimensionMismatch(f"dimensions {r.dim} and {self.dim}")
-        n = self.dim
         zero = self.field.zero()
-        q = self.matrix
-        out = []
-        for s in range(n):
-            row = []
-            for t in range(n):
-                acc = zero
-                for i in range(n):
-                    qsi = q[s][i]
-                    if qsi == zero:
-                        continue
-                    for j in range(n):
-                        term = r.rows[i][j] * qsi * q[t][j]
-                        acc = acc + term
-                row.append(acc)
-            out.append(row)
-        return Tensor2(self.field, n, out)
+        q = _nonzero_entries(self.matrix, 2, zero)
+        k = _nonzero_entries(r.rows, 2, zero)
+        return _from_sparse(
+            self.field, self.dim, 2,
+            _contract("st", [("ij", k), ("si", q), ("tj", q)]),
+        )
 
     def then(self, other: "BasisChange") -> "BasisChange":
-        """Composite change: apply ``self`` first, then ``other``."""
+        """Composite change: apply ``self`` first, then ``other``.
+
+        Its matrix is the product ``other.matrix @ self.matrix``.
+        """
         if self.field is not other.field or self.dim != other.dim:
             raise FieldMismatch("incompatible basis changes")
-        n = self.dim
         zero = self.field.zero()
-        prod = [
-            [
-                sum(
-                    (other.matrix[i][k] * self.matrix[k][j] for k in range(n)),
-                    zero,
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return BasisChange(self.field, prod)
+        prod = _contract("ij", [
+            ("ik", _nonzero_entries(other.matrix, 2, zero)),
+            ("kj", _nonzero_entries(self.matrix, 2, zero)),
+        ])
+        return BasisChange(
+            self.field, _from_sparse(self.field, self.dim, 2, prod).rows
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,14 @@ coefficient systems.  The expanded systems are deliberately maintained as a
 separate code path from ``cybe_residual`` so the two routes can adjudicate
 each other; reports cite the relation labels (28)-(54) and (28)-(48).
 
-All computations are written against generic ring scalars, so the same code
-runs on field elements and on symbolic polynomials.
+Each index sum above is one ``tensor._contract`` call whose label strings
+spell the formula's indices letter for letter, so these formulas are the
+specification the code follows.  All computations are written against
+generic ring scalars, so the same code runs on field elements and on
+symbolic polynomials.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +37,15 @@ from .errors import (
     FieldMismatch,
     WrongCharacteristic,
 )
-from .tensor import NamedCoeffs, Tensor2, Tensor3, named_view
+from .tensor import (
+    NamedCoeffs,
+    Tensor2,
+    Tensor3,
+    _contract,
+    _from_sparse,
+    _nonzero_entries,
+    named_view,
+)
 
 __all__ = [
     "bracket_12_13",
@@ -72,69 +82,41 @@ def _check_pair(L, r) -> None:
         )
 
 
-def _nonzero_constants(L):
-    zero = L.field.zero()
-    n = L.dim
+# (out, c, k, k) index labels of each embedded bracket, as in the docstring
+_BRACKET_LABELS = {
+    "12_13": ("wab", "ijw", "ia", "jb"),
+    "12_23": ("awb", "jmw", "aj", "mb"),
+    "13_23": ("abw", "jmw", "aj", "bm"),
+}
+
+
+def _brackets(L, r: Tensor2, *names):
+    """The sparse coefficients of the named embedded brackets."""
+    _check_pair(L, r)
+    zero = r.field.zero()
+    c = _nonzero_entries(L.c, 3, zero)
+    k = _nonzero_entries(r.rows, 2, zero)
     return [
-        (i, j, w, L.c[i][j][w])
-        for i in range(n)
-        for j in range(n)
-        for w in range(n)
-        if L.c[i][j][w] != zero
+        _contract(out, [(cl, c), (k1, k), (k2, k)])
+        for out, cl, k1, k2 in map(_BRACKET_LABELS.get, names)
     ]
 
 
 def bracket_12_13(L, r: Tensor2) -> Tensor3:
-    _check_pair(L, r)
-    n = r.dim
-    zero = r.field.zero()
-    k = r.rows
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i, j, w, co in _nonzero_constants(L):
-        for a in range(n):
-            left = co * k[i][a]
-            if left == zero:
-                continue
-            for b in range(n):
-                out[w][a][b] = out[w][a][b] + left * k[j][b]
-    return Tensor3(r.field, n, out)
+    return _from_sparse(r.field, r.dim, 3, *_brackets(L, r, "12_13"))
 
 
 def bracket_12_23(L, r: Tensor2) -> Tensor3:
-    _check_pair(L, r)
-    n = r.dim
-    zero = r.field.zero()
-    k = r.rows
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for j, m, w, co in _nonzero_constants(L):
-        for a in range(n):
-            left = co * k[a][j]
-            if left == zero:
-                continue
-            for b in range(n):
-                out[a][w][b] = out[a][w][b] + left * k[m][b]
-    return Tensor3(r.field, n, out)
+    return _from_sparse(r.field, r.dim, 3, *_brackets(L, r, "12_23"))
 
 
 def bracket_13_23(L, r: Tensor2) -> Tensor3:
-    _check_pair(L, r)
-    n = r.dim
-    zero = r.field.zero()
-    k = r.rows
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for j, m, w, co in _nonzero_constants(L):
-        for a in range(n):
-            left = co * k[a][j]
-            if left == zero:
-                continue
-            for b in range(n):
-                out[a][b][w] = out[a][b][w] + left * k[b][m]
-    return Tensor3(r.field, n, out)
+    return _from_sparse(r.field, r.dim, 3, *_brackets(L, r, "13_23"))
 
 
 def cybe_residual(L, r: Tensor2) -> Tensor3:
     """``[r12,r13] + [r12,r23] + [r13,r23]``; zero iff ``r`` solves CYBE."""
-    return bracket_12_13(L, r).add(bracket_12_23(L, r)).add(bracket_13_23(L, r))
+    return _from_sparse(r.field, r.dim, 3, *_brackets(L, r, *_BRACKET_LABELS))
 
 
 def is_cybe_solution(L, r: Tensor2) -> bool:
@@ -146,52 +128,6 @@ class QybeSides(NamedTuple):
     rhs: Tensor3
 
 
-def _nonzero_entries(rows, rank: int, n: int, zero):
-    """``(index_tuple, value)`` for every nonzero entry of a nested list."""
-    out = []
-    for idx in itertools.product(range(n), repeat=rank):
-        v = rows
-        for i in idx:
-            v = v[i]
-        if v != zero:
-            out.append((idx, v))
-    return out
-
-
-def _contract(out: str, factors) -> dict:
-    """Sum over every index not in ``out`` of the product of ``factors``.
-
-    Each factor is ``(labels, entries)``: nonzero entries as
-    ``(index_tuple, value)`` pairs, one index per letter of ``labels``.
-    Factors are joined left to right and an index is summed out as soon as
-    neither a later factor nor ``out`` names it, so the factor order sets
-    the size of every intermediate.  Returns ``{out index tuple: value}``
-    with absent keys meaning zero.
-    """
-    labels, terms = "", {(): None}
-    for pos, (flabels, entries) in enumerate(factors):
-        needed = set(out).union(*(fl for fl, _ in factors[pos + 1:]))
-        merged = labels + "".join(c for c in flabels if c not in labels)
-        kept = "".join(c for c in merged if c in needed)
-        shared = [c for c in flabels if c in labels]
-        groups: dict[tuple, list] = {}
-        for idx, v in entries:
-            env = dict(zip(flabels, idx))
-            key = tuple(env[c] for c in shared)
-            groups.setdefault(key, []).append((env, v))
-        nxt: dict[tuple, object] = {}
-        for key, acc in terms.items():
-            env = dict(zip(labels, key))
-            for fenv, v in groups.get(tuple(env[c] for c in shared), ()):
-                env.update(fenv)
-                k = tuple(env[c] for c in kept)
-                prod = v if acc is None else acc * v
-                nxt[k] = nxt[k] + prod if k in nxt else prod
-        labels, terms = kept, nxt
-    order = [labels.index(c) for c in out]
-    return {tuple(k[i] for i in order): v for k, v in terms.items()}
-
-
 def qybe_sides(A, R: Tensor2) -> QybeSides:
     """Both sides of ``R12 R13 R23 = R23 R13 R12`` as coefficient tensors.
 
@@ -199,23 +135,19 @@ def qybe_sides(A, R: Tensor2) -> QybeSides:
     orders below keep every intermediate to at most four free indices.
     """
     _check_pair(A, R)
-    n = R.dim
     zero = R.field.zero()
-    k = _nonzero_entries(R.rows, 2, n, zero)
-    a = _nonzero_entries(A.c, 3, n, zero)
-    sides = (
-        _contract("ijl", [("su", k), ("sti", a), ("tv", k),
-                          ("umj", a), ("mw", k), ("vwl", a)]),
-        _contract("ijl", [("tmi", a), ("tv", k), ("uvl", a),
-                          ("su", k), ("mw", k), ("swj", a)]),
+    k = _nonzero_entries(R.rows, 2, zero)
+    a = _nonzero_entries(A.c, 3, zero)
+    return QybeSides(
+        _from_sparse(R.field, R.dim, 3, _contract(
+            "ijl", [("su", k), ("sti", a), ("tv", k),
+                    ("umj", a), ("mw", k), ("vwl", a)],
+        )),
+        _from_sparse(R.field, R.dim, 3, _contract(
+            "ijl", [("tmi", a), ("tv", k), ("uvl", a),
+                    ("su", k), ("mw", k), ("swj", a)],
+        )),
     )
-    return QybeSides(*(
-        Tensor3(R.field, n, [
-            [[side.get((i, j, l), zero) for l in range(n)] for j in range(n)]
-            for i in range(n)
-        ])
-        for side in sides
-    ))
 
 
 def is_qybe_solution(A, R: Tensor2) -> bool:

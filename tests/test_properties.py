@@ -2,8 +2,8 @@
 orders, against the reference evaluator and the object route, sweeps
 across worker counts and against the same algebra read back from file
 text, metamorphic checks (basis changes, scalars) that need neither route,
-and the QYBE sides against their definition, over random algebras in every
-characteristic.
+and the QYBE sides and every other contraction-built tensor formula against
+their definitions, over random algebras in every characteristic.
 
 Lie algebras are drawn as ``span(u, v) x| w`` (an abelian plane on which
 ``w`` acts by a random matrix, which satisfies Jacobi for every matrix) in
@@ -19,8 +19,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from baxter import (
-    BasisChange, SweepSpec, Tensor2, compile_selector, field, parse_algebra,
-    qybe_sides, selector_predicate, sweep,
+    BasisChange, SweepSpec, Tensor2, Tensor3, adjoint_act2, adjoint_act3,
+    bracket_12_13, bracket_12_23, bracket_13_23, cojacobi_defect,
+    compile_selector, cybe_residual, field, parse_algebra, qybe_sides,
+    selector_predicate, sweep,
 )
 from baxter.algebra import (
     LieAlgebra, StructureConstants, assoc_validate, lie_validate,
@@ -177,6 +179,22 @@ def _inverse(f, m):
     return [row[n:] for row in rows]
 
 
+def _basis_change(draw, f, n):
+    """A random invertible basis change of ``f^n``."""
+    # P L U with L unit lower and U invertible upper triangular: every
+    # invertible matrix has this form, and the smallest draw is the identity
+    def entry(low):
+        return f.element(draw(st.integers(low, f.q - 1)))
+
+    lower = [[entry(0) if j < i else f.element(int(i == j))
+              for j in range(n)] for i in range(n)]
+    upper = [[entry(int(i == j)) if j >= i else f.zero()
+              for j in range(n)] for i in range(n)]
+    lu = [[sum((lower[i][k] * upper[k][j] for k in range(n)), f.zero())
+           for j in range(n)] for i in range(n)]
+    return BasisChange(f, [lu[i] for i in draw(st.permutations(range(n)))])
+
+
 def _in_basis(algebra, q):
     """``algebra`` written in the basis ``f_i = sum_s q[s][i] e_s``."""
     f, n, c = algebra.field, algebra.dim, algebra.c
@@ -195,18 +213,7 @@ def _in_basis(algebra, q):
 def test_solution_counts_invariant_under_basis_change(data):
     algebra, name = data.draw(algebras(max_total=1 << 13))
     f, n = algebra.field, algebra.dim
-    # P L U with L unit lower and U invertible upper triangular: every
-    # invertible matrix has this form, and the smallest draw is the identity
-    def entry(low):
-        return f.element(data.draw(st.integers(low, f.q - 1)))
-
-    lower = [[entry(0) if j < i else f.element(int(i == j))
-              for j in range(n)] for i in range(n)]
-    upper = [[entry(int(i == j)) if j >= i else f.zero()
-              for j in range(n)] for i in range(n)]
-    lu = [[sum((lower[i][k] * upper[k][j] for k in range(n)), f.zero())
-           for j in range(n)] for i in range(n)]
-    change = BasisChange(f, [lu[i] for i in data.draw(st.permutations(range(n)))])
+    change = _basis_change(data.draw, f, n)
     moved = _in_basis(algebra, change.matrix)
     chunk = data.draw(st.sampled_from(CHUNKS))
     here, there = (
@@ -303,3 +310,97 @@ def test_qybe_sides_match_definition(data):
     want_lhs, want_rhs = _qybe_reference(A, R)
     assert [list(map(list, b)) for b in lhs.coeffs] == want_lhs
     assert [list(map(list, b)) for b in rhs.coeffs] == want_rhs
+
+
+def _zeros(f, n, rank):
+    return [_zeros(f, n, rank - 1) for _ in range(n)] if rank else f.zero()
+
+
+def _frozen(nested):
+    if isinstance(nested, list):
+        return tuple(_frozen(v) for v in nested)
+    return nested
+
+
+def _definitions(L, k, T, change, other):
+    """Every contraction-built formula as plain sums over all its indices:
+    the adjoint actions keyed by ``(name, x)``, the rest by name."""
+    f, n, c = L.field, L.dim, L.c
+    span = range(n)
+    want = {}
+    # [r12,r13], [r12,r23], [r13,r23] from the slot embeddings of r
+    br = [_zeros(f, n, 3) for _ in range(3)]
+    for a, b, w, i, j in itertools.product(span, repeat=5):
+        br[0][w][a][b] += k[i][a] * k[j][b] * c[i][j][w]
+        br[1][a][w][b] += k[a][i] * k[j][b] * c[i][j][w]
+        br[2][a][b][w] += k[a][i] * k[b][j] * c[i][j][w]
+    want["bracket_12_13"], want["bracket_12_23"], want["bracket_13_23"] = br
+    want["cybe_residual"] = [[[br[0][a][b][d] + br[1][a][b][d] + br[2][a][b][d]
+                               for d in span] for b in span] for a in span]
+    # delta(e_x)[a][b] = sum_i c[x][i][a] k[i][b] + c[x][i][b] k[a][i]
+    deltas = [_zeros(f, n, 2) for _ in span]
+    for x, a, b, i in itertools.product(span, repeat=4):
+        deltas[x][a][b] += c[x][i][a] * k[i][b] + c[x][i][b] * k[a][i]
+    for x in span:
+        m = c[x]
+        diag, cube = _zeros(f, n, 3), _zeros(f, n, 3)
+        for a, b, d, i in itertools.product(span, repeat=4):
+            diag[a][b][d] += (m[i][a] * T[i][b][d] + m[i][b] * T[a][i][d]
+                              + m[i][d] * T[a][b][i])
+        for a, b, d, i, j, l in itertools.product(span, repeat=6):
+            cube[a][b][d] += m[i][a] * m[j][b] * m[l][d] * T[i][j][l]
+        want["adjoint_act2", x] = deltas[x]
+        want["diagonal", x], want["cube", x] = diag, cube
+    # T_x[a][c][d] = sum_b delta_x[a][b] delta_b[c][d], plus both 3-cycles
+    want["cojacobi_defect"] = []
+    for dx in deltas:
+        tx = _zeros(f, n, 3)
+        for a, b, cc, d in itertools.product(span, repeat=4):
+            tx[a][cc][d] += dx[a][b] * deltas[b][cc][d]
+        want["cojacobi_defect"].append([[[
+            tx[i][j][l] + tx[j][l][i] + tx[l][i][j]
+            for l in span] for j in span] for i in span])
+    q, p = change.matrix, other.matrix
+    want["apply_t2"], want["then"] = _zeros(f, n, 2), _zeros(f, n, 2)
+    for s, u, i, j in itertools.product(span, repeat=4):
+        want["apply_t2"][s][u] += k[i][j] * q[s][i] * q[u][j]
+    for s, u, i in itertools.product(span, repeat=3):
+        want["then"][s][u] += p[s][i] * q[i][u]
+    return want
+
+
+@settings(_settings, max_examples=40)
+@given(data=st.data())
+def test_tensor_formulas_match_definition(data):
+    # unrestricted tensors in every characteristic: a char-2 member of
+    # Im(1 - tau) is symmetric and hides swapped slots of a cobracket term.
+    # Every formula is checked on every draw: hypothesis clusters its
+    # draws, so one drawn formula per example leaves some formulas with a
+    # handful of near-identical examples in a run.
+    p, m, modulus = data.draw(st.sampled_from(FIELDS))
+    f = field(p, m, modulus)
+    n = data.draw(st.sampled_from((2, 3)))
+    L = _lie(data.draw, f, n)
+    r = Tensor2.decode(f, n, data.draw(st.integers(0, f.q ** (n * n) - 1)))
+    flat = iter(data.draw(st.lists(st.integers(0, f.q - 1),
+                                   min_size=n ** 3, max_size=n ** 3)))
+    t = Tensor3(f, n, [[[f.element(next(flat)) for _ in range(n)]
+                        for _ in range(n)] for _ in range(n)])
+    change, other = _basis_change(data.draw, f, n), _basis_change(data.draw, f, n)
+    got = {
+        "bracket_12_13": bracket_12_13(L, r).coeffs,
+        "bracket_12_23": bracket_12_23(L, r).coeffs,
+        "bracket_13_23": bracket_13_23(L, r).coeffs,
+        "cybe_residual": cybe_residual(L, r).coeffs,
+        "cojacobi_defect": tuple(d.coeffs for d in cojacobi_defect(L, r)),
+        "apply_t2": change.apply_t2(r).rows,
+        "then": change.then(other).matrix,
+    }
+    for x in range(n):
+        got["adjoint_act2", x] = adjoint_act2(L, x, r).rows
+        for mode in ("diagonal", "cube"):
+            got[mode, x] = adjoint_act3(L, x, t, mode=mode).coeffs
+    want = _definitions(L, r.rows, t.coeffs, change, other)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == _frozen(value), key
