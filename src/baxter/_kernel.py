@@ -8,13 +8,21 @@ by replaying the generic object-level checks over a symbolic polynomial ring
 only evaluates.
 
 Evaluation grows big-endian prefixes one variable at a time over a numpy
-frontier of surviving prefixes and their digits.  Each polynomial is folded
-through precomputed q-by-q multiplication tables (with the coefficient
-fused into the first pairwise product) as soon as its last variable is
-assigned, and the frontier is compressed to the survivors; once no
-polynomial is left, the remaining digits are free and whole ranges are
-emitted.  Characteristic 2 accumulates with XOR; other characteristics go
-through an addition table.
+frontier of surviving prefixes and their digits.  Each system is compiled
+once into levels, one per variable, holding the polys whose last variable
+that level assigns; the compiled levels are cached by the system's value.
+A level whose polys all have degree at most 1 in its variable is *linear*:
+each poly there is ``a * x + c`` with ``a`` and ``c`` in earlier variables,
+so it is solved on the parent prefixes.  Every monomial is one lookup of
+its factors' summed discrete logs, each ``a`` and ``c`` is one segmented
+sum over the monomial rows (XOR in characteristic 2, integer lanes
+reduced mod p otherwise), and each parent keeps one child (the common
+root ``-c / a``), all ``q`` (every ``a`` and ``c`` zero) or none.  Any
+other level expands every prefix into its ``q`` children and prunes them
+one poly at a time through q-by-q multiplication tables (with the
+coefficient fused into the first pairwise product), XOR or an addition
+table.  Once no polynomial is left, the remaining digits are free and
+whole ranges are emitted.
 
 Variables are assigned in the system's ``var_order``, natural (the tensor
 encoding's own digit order) by default; the prefixes are then *search
@@ -26,6 +34,8 @@ win by a factor of ``_PLAN_GAIN``.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from typing import Iterable, NamedTuple
 
@@ -42,6 +52,11 @@ __all__ = [
 ]
 
 _MAX_ORDER = 256  # digit arrays are uint8
+# Products are looked up by the sum of their factors' discrete logs in
+# uint16: zero's log exceeds any sum of up to _MAX_FACTORS nonzero logs,
+# and _MAX_FACTORS of it still fit.
+_ZERO_LOG = 1 << 12
+_MAX_FACTORS = 15
 
 
 class CompiledSystem(NamedTuple):
@@ -115,8 +130,54 @@ def _tables(system: CompiledSystem) -> dict:
                 v = f.add_i(x, y)
                 add[x, y] = v
                 add[y, x] = v
-    cached = {"q": q, "mul": mul, "add": add, "fold": {}}
+    # The roots of a*x + c, indexed a*q + c, as the bounds (lo, hi) of an
+    # interval of digits: one root is lo == hi, every digit is lo > hi and
+    # no digit is lo < hi, so intersecting polys is min of lo, max of hi.
+    inv = np.array([f.inv_i(a) if a else 0 for a in range(q)], np.uint8)
+    neg = np.array([f.neg_i(c) for c in range(q)], np.uint8)
+    lo = mul[inv[:, None], neg].astype(np.int16)
+    hi = lo.copy()
+    lo[0], hi[0] = -1, q  # a = 0, c != 0: no root
+    lo[0, 0], hi[0, 0] = q, -1  # a = c = 0: every digit
+    # Discrete logs to a generator of GF(q)*, so that a product is one
+    # lookup of the sum of its factors' logs; zero's log is _ZERO_LOG, and
+    # a sum that holds it looks up zero.
+    for gen in range(1, q):
+        powers = _powers(mul, gen, q)
+        if len(set(powers.tolist())) == q - 1:
+            break
+    log = np.full(q, _ZERO_LOG, dtype=np.uint16)
+    log[powers] = np.arange(q - 1)
+    exp = np.zeros(1 << 16, dtype=np.uint8)
+    exp[:_ZERO_LOG] = powers[np.arange(_ZERO_LOG) % (q - 1)]
+    cached = {"q": q, "p": f.p, "m": f.m, "mul": mul, "add": add,
+              "fold": {}, "lo": lo.ravel(), "hi": hi.ravel(), "log": log,
+              "exp": exp, "planes": {},
+              "digits": np.arange(q, dtype=np.uint8)}
     _TABLES[key] = cached
+    return cached
+
+
+def _powers(mul: np.ndarray, g: int, q: int) -> np.ndarray:
+    """``g**0, ..., g**(q - 2)`` in GF(q)."""
+    out = np.ones(q - 1, dtype=np.uint8)
+    for e in range(1, q - 1):
+        out[e] = mul[out[e - 1], g]
+    return out
+
+
+def _planes(tables: dict, lane) -> list:
+    """Outside characteristic 2: per base-p digit ``i`` of the field's
+    encoding, the exp table of that digit in the integer type ``lane``,
+    and ``p**i``.  Sums are then taken digit by digit."""
+    key = np.dtype(lane)
+    cached = tables["planes"].get(key)
+    if cached is None:
+        p = tables["p"]
+        cached = tables["planes"][key] = [
+            ((tables["exp"] // p ** i % p).astype(lane), p ** i)
+            for i in range(tables["m"])
+        ]
     return cached
 
 
@@ -130,28 +191,113 @@ def _fold_table(tables: dict, coeff: int) -> np.ndarray:
     return tab
 
 
-def _levels(system: CompiledSystem) -> list[list]:
-    """Polys grouped by the prefix depth at which their last variable is
-    assigned (depth 0 holds constant polys), with each variable renamed to
-    the depth that assigns it."""
-    depth = list(range(system.nvars))
-    for d, v in enumerate(system.var_order or ()):
-        depth[v] = d
-    levels = [[] for _ in range(system.nvars + 1)]
+# -- compiled levels ---------------------------------------------------------
+
+
+class _Linear(NamedTuple):
+    """Gather arrays of a level whose polys all have degree <= 1 in the
+    variable ``x`` it assigns, so poly ``i`` is ``a_i * x + c_i`` with
+    ``a_i`` and ``c_i`` in earlier variables.  Rows are monomials, grouped
+    by target: ``a_0 .. a_(k-1)``, then ``c_0 .. c_(k-1)``; a target
+    without monomials gets one with coefficient zero.  Every row lists its
+    variables padded with ``x``; the evaluation reads ``x`` as a factor of
+    one, so a row of ``a_i`` yields the coefficient of ``x``."""
+
+    npolys: int
+    logs: np.ndarray  # (M, 1) log of each row's coefficient
+    factors: np.ndarray  # (G, M) the variables of each row
+    starts: np.ndarray  # (2k,) first row of each target
+    # outside characteristic 2, the unsigned type the sums fit in
+    lane: type | None
+
+
+class _Level(NamedTuple):
+    polys: tuple  # with each variable renamed to the depth assigning it
+    linear: _Linear | None
+    width: int  # array entries the level holds per parent prefix
+
+
+def _linear(polys, x: int, tables: dict) -> _Linear | None:
+    """The gather arrays of a level assigning ``x``, or None when some poly
+    has degree above 1 in ``x`` or a monomial has too many factors."""
+    k = len(polys)
+    targets = [[] for _ in range(2 * k)]
+    for i, poly in enumerate(polys):
+        for coeff, vs in poly:
+            times = vs.count(x)
+            if times > 1:
+                return None
+            targets[i if times else k + i].append((coeff, vs))
+    g = max(len(vs) for rows in targets for _, vs in rows)
+    if g >= _MAX_FACTORS:
+        return None
+    pad = [(x,) * (g - j) for j in range(g + 1)]
+    coeffs, factors, counts = [], [], []
+    for rows in targets:
+        rows = rows or [(0, ())]
+        counts.append(len(rows))
+        for coeff, vs in rows:
+            coeffs.append(coeff)
+            factors += vs
+            factors += pad[len(vs)]
+    lane = None
+    if tables["p"] != 2:
+        most = (tables["p"] - 1) * max(counts)
+        lane = next(t for t in (np.uint8, np.uint16, np.uint32)
+                    if most <= np.iinfo(t).max)
+    return _Linear(
+        k,
+        tables["log"].take(coeffs)[:, None],
+        np.array(factors, dtype=np.intp).reshape(-1, g).T.copy(),
+        np.fromiter(itertools.accumulate(counts[:-1], initial=0), np.intp),
+        lane,
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _compile(system: CompiledSystem) -> tuple:
+    """Per depth, the :class:`_Level` of the polys whose last variable that
+    depth assigns (None where there are none; depth 0 holds the constant
+    polys), and the deepest depth that has polys.  Cached by the system's
+    value, so a system with other polys or another order compiles anew."""
+    n = system.nvars
+    order = system.var_order
+    if order is not None and sorted(order) != list(range(n)):
+        raise ValueError("var_order must be a permutation of the variables")
+    depth_of = list(range(n))
+    for d, v in enumerate(order or ()):
+        depth_of[v] = d
+    rename = depth_of.__getitem__
+    by_depth = [[] for _ in range(n + 1)]
     for poly in system.polys:
-        poly = tuple((c, tuple(depth[v] for v in vs)) for c, vs in poly)
-        top = max((v for _, vs in poly for v in vs), default=-1)
-        levels[top + 1].append(poly)
-    return levels
+        if order is not None:
+            poly = tuple([(c, tuple(map(rename, vs))) for c, vs in poly])
+        top = max([max(vs) for _, vs in poly if vs], default=-1)
+        by_depth[top + 1].append(poly)
+    tables = _tables(system)
+    q = tables["q"]
+    levels = [None] * (n + 1)
+    for depth, polys in enumerate(by_depth):
+        if polys:
+            linear = _linear(polys, depth - 1, tables) if depth else None
+            width = q
+            if linear is not None:
+                width = max(q, linear.logs.size)
+            levels[depth] = _Level(tuple(polys), linear, width)
+    last = max((d for d, level in enumerate(levels) if level), default=0)
+    return tuple(levels), last
 
 
 def _prune(polys, tables: dict, char2: bool, codes, digits):
-    """Keep the prefixes on which every poly in ``polys`` vanishes."""
+    """Keep the prefixes on which every poly in ``polys`` vanishes; also
+    returns the terms evaluated."""
     mul = tables["mul"]
     add = tables["add"]
+    terms = 0
     for poly in polys:
         if codes.size == 0:
             break
+        terms += codes.size * len(poly)
         acc = np.zeros(codes.size, dtype=np.uint8)
         for coeff, vs in poly:
             if not vs:
@@ -169,7 +315,90 @@ def _prune(polys, tables: dict, char2: bool, codes, digits):
         keep = np.flatnonzero(acc == 0)
         codes = codes[keep]
         digits = digits[:, keep]
-    return codes, digits
+    return codes, digits, terms
+
+
+def _coefficients(linear: _Linear, tables: dict, digits) -> np.ndarray:
+    """``a_i`` (rows ``i``) and ``c_i`` (rows ``k + i``) on every prefix.
+
+    Each monomial is one exp lookup of its factors' summed logs, and each
+    target's monomials are summed over 8-byte words of the padded rows
+    (XOR in characteristic 2, else integer lanes reduced mod p)."""
+    depth, size = digits.shape
+    wide = -(-size // 8) * 8
+    logs = np.zeros((depth + 1, wide), dtype=np.uint16)
+    logs[:depth, :size] = tables["log"].take(digits)
+    idx = logs.take(linear.factors[0], axis=0)
+    idx += linear.logs
+    for row in linear.factors[1:]:
+        idx += logs.take(row, axis=0)
+    if linear.lane is None:
+        val = tables["exp"].take(idx)
+        acc = np.bitwise_xor.reduceat(val.view(np.uint64), linear.starts,
+                                      axis=0).view(np.uint8)
+        return acc[:, :size]
+    acc = None
+    for exp, weight in _planes(tables, linear.lane):
+        val = exp.take(idx)
+        part = np.add.reduceat(val.view(np.uint64), linear.starts,
+                               axis=0).view(linear.lane)
+        part %= tables["p"]
+        part *= weight
+        acc = part if acc is None else acc + part
+    return acc[:, :size].astype(np.uint8)
+
+
+def _solve_linear(linear: _Linear, tables: dict, depth: int, codes, digits):
+    """The children of a linear level: per prefix, the common root of its
+    polys, every digit where all of them vanish identically, or none."""
+    q = tables["q"]
+    k = linear.npolys
+    acc = _coefficients(linear, tables, digits)
+    idx = acc[:k].astype(np.uint16)
+    idx *= q
+    idx += acc[k:]
+    lo = tables["lo"].take(idx).min(axis=0)
+    hi = tables["hi"].take(idx).max(axis=0)
+    every = lo > hi
+    if every.any():
+        counts = np.where(every, q, lo == hi)
+        keep = np.repeat(np.arange(codes.size), counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        digit = np.where(every[keep], np.arange(keep.size) - first, lo[keep])
+    else:
+        keep = np.flatnonzero(lo == hi)
+        digit = lo.take(keep)
+    digit = digit.astype(np.uint8)
+    grown = np.empty((depth + 1, keep.size), dtype=np.uint8)
+    grown[:depth] = digits.take(keep, axis=1)
+    grown[depth] = digit
+    codes = codes.take(keep) * np.uint64(q) + digit
+    return codes, grown
+
+
+def _step(level, tables: dict, char2: bool, depth: int, codes, digits):
+    """Assign the variable at ``depth`` to every prefix: the surviving
+    children, ascending when the prefixes are, and the work done (children
+    times prefix length, plus the terms evaluated)."""
+    if level is not None and level.linear is not None:
+        work = codes.size * (level.width + depth)
+        codes, digits = _solve_linear(level.linear, tables, depth,
+                                      codes, digits)
+        return codes, digits, work + codes.size * depth
+    q = tables["q"]
+    row = tables["digits"]
+    size = codes.size
+    grown = np.empty((depth + 1, size, q), dtype=np.uint8)
+    grown[:depth] = digits[:, :, None]
+    grown[depth] = row
+    digits = grown.reshape(depth + 1, size * q)
+    codes = (codes[:, None] * np.uint64(q) + row).ravel()
+    work = size * q * (depth + 1)
+    if level is not None:
+        codes, digits, terms = _prune(level.polys, tables, char2,
+                                      codes, digits)
+        work += terms
+    return codes, digits, work
 
 
 def _ranges(codes: np.ndarray, width: int, start: int, stop: int):
@@ -216,63 +445,65 @@ def solutions_in_range(
     None) it is the encoding itself.  Returns a ``uint64`` array in
     ascending search-code order, which is ascending encoding order only in
     natural order.  Variables are assigned one at a time in search order
-    over a frontier of surviving prefixes; each poly prunes the frontier as
-    soon as its last variable is assigned, and once no poly is left the
-    remaining digits are emitted as whole ranges.  A frontier whose next
-    expansion would exceed ``chunk`` candidates is halved first and the
-    halves are grown depth first, so peak memory stays
-    ``O(max(chunk, q) * nvars)`` bytes plus the output, however large the
-    range (a single prefix always expands to its ``q`` children).
+    over a frontier of surviving prefixes.  A level whose polys are all
+    linear in its variable is solved on the parent prefixes; any other
+    level expands every prefix into its ``q`` children and prunes them one
+    poly at a time.  Once no poly is left, the remaining digits are emitted
+    as whole ranges.  A frontier whose next level would hold more than
+    ``chunk`` entries (``q`` children, or one per term of a linear level,
+    per prefix) is halved first and the halves are grown depth first, so
+    peak memory stays ``O(chunk * nvars)`` bytes plus the output, however
+    large the range (a single prefix always expands).
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
     order = system.var_order
-    if order is not None and sorted(order) != list(range(system.nvars)):
-        raise ValueError("var_order must be a permutation of the variables")
+    if order is not None:
+        system = system._replace(var_order=tuple(order))
+    levels, last = _compile(system)
     tables = _tables(system)
     q = tables["q"]
     n = system.nvars
+    if order is not None:
+        weights = np.array([q ** (n - 1 - v) for v in order], dtype=np.uint64)
     start = max(start, 0)
     stop = min(stop, q ** n)
-    if start >= stop:
+    if start >= stop or levels[0] is not None:
         return np.empty(0, dtype=np.uint64)
     char2 = system.p == 2
-    levels = _levels(system)
-    last = max((d for d, polys in enumerate(levels) if polys), default=0)
-    digit_row = np.arange(q, dtype=np.uint8)
     parts = []
-    stack = [(0,) + _prune(
-        levels[0], tables, char2,
-        np.zeros(1, dtype=np.uint64), np.empty((0, 1), dtype=np.uint8),
-    )]
+    stack = [(0, np.zeros(1, dtype=np.uint64),
+              np.empty((0, 1), dtype=np.uint8))]
     while stack:
         depth, codes, digits = stack.pop()
         while codes.size and depth < last:
             size = codes.size
-            if size * q > chunk and size > 1:
+            level = levels[depth + 1]
+            if size > 1 and size * (level.width if level else q) > chunk:
                 half = size // 2
                 stack.append((depth, codes[half:], digits[:, half:]))
                 codes, digits = codes[:half], digits[:, :half]
                 continue
-            grown = np.empty((depth + 1, size, q), dtype=np.uint8)
-            grown[:depth] = digits[:, :, None]
-            grown[depth] = digit_row
-            digits = grown.reshape(depth + 1, size * q)
-            codes = (codes[:, None] * np.uint64(q) + digit_row).ravel()
+            codes, digits, _ = _step(level, tables, char2, depth,
+                                     codes, digits)
             depth += 1
             width = q ** (n - depth)
             lo, hi = start // width, -(-stop // width)
-            if codes[0] < lo or codes[-1] >= hi:
+            if codes.size and (codes[0] < lo or codes[-1] >= hi):
                 i = codes.searchsorted(np.uint64(lo))
                 j = codes.searchsorted(np.uint64(hi))
                 codes, digits = codes[i:j], digits[:, i:j]
-            codes, digits = _prune(levels[depth], tables, char2, codes, digits)
-        if codes.size:
+        if not codes.size:
+            continue
+        if depth == n and order is not None:
+            # every digit is assigned: the encodings are a weighted sum
+            parts.append(weights @ digits)
+        else:
             parts.append(_ranges(codes, q ** (n - depth), start, stop))
     if not parts:
         return np.empty(0, dtype=np.uint64)
     out = np.concatenate(parts)
-    if order is not None:
+    if order is not None and last < n:
         out = _encodings(out, order, q)
     return out
 
@@ -289,55 +520,73 @@ _PLAN_GAIN = 2.0
 def _greedy_order(system: CompiledSystem) -> tuple[int, ...]:
     """Fail first: next the variable that closes the most polys, ties broken
     by the number of open polys it appears in, then by the lower index."""
+    n = system.nvars
     open_vars = [{v for _, vs in poly for v in vs} for poly in system.polys]
-    open_vars = [vs for vs in open_vars if vs]
-    left = list(range(system.nvars))
+    polys_of = [[] for _ in range(n)]
+    closes = [0] * n
+    for vs in open_vars:
+        for v in vs:
+            polys_of[v].append(vs)
+        if len(vs) == 1:
+            closes[min(vs)] += 1
+    appears = [len(polys) for polys in polys_of]
+    left = list(range(n))
     order = []
     while left:
-        v = max(left, key=lambda v: (
-            sum(vs == {v} for vs in open_vars),
-            sum(v in vs for vs in open_vars),
-        ))
+        v = max(left, key=lambda v: (closes[v], appears[v]))
         order.append(v)
         left.remove(v)
-        open_vars = [vs - {v} for vs in open_vars if vs != {v}]
+        for vs in polys_of[v]:
+            vs.discard(v)
+            if len(vs) == 1:
+                closes[min(vs)] += 1
     return tuple(order)
 
 
 def _cost(system: CompiledSystem, tables: dict) -> float:
     """Estimated kernel work over the whole space in ``system``'s order.
 
-    The frontier is grown level by level as in the kernel, but whenever
-    more than ``_PLAN_SAMPLE`` prefixes survive a level, a seeded sample of
-    that many is kept and each stands for its share of the survivors.  So
-    the estimate is exact while the frontier is small.  A level costs the
-    children built times (depth + terms evaluated per child).
+    The frontier is grown level by level by the kernel's own step, but
+    whenever more than ``_PLAN_SAMPLE`` prefixes survive a level, a seeded
+    sample of that many is kept and each stands for its share of the
+    survivors; a level without polys past that size keeps one random child
+    per prefix.  So the estimate is exact while the frontier is small.
     """
     q = tables["q"]
     char2 = system.p == 2
     rng = random.Random(0)  # a system always gets the same plan
-    levels = _levels(system)
-    last = max((d for d, polys in enumerate(levels) if polys), default=0)
-    digit_row = np.arange(q, dtype=np.uint8)
+    levels, last = _compile(system)
+    codes = np.zeros(1, dtype=np.uint64)
     digits = np.empty((0, 1), dtype=np.uint8)
     weight = 1.0  # prefixes of the real frontier per sampled prefix
     cost = 0.0
-    for depth in range(1, last + 1):
-        size = digits.shape[1]
-        grown = np.empty((depth, size, q), dtype=np.uint8)
-        grown[:-1] = digits[:, :, None]
-        grown[-1] = digit_row
-        digits = grown.reshape(depth, size * q)
-        ids = np.arange(size * q)
-        terms = 0
-        for poly in levels[depth]:
-            terms += ids.size * len(poly)
-            ids, digits = _prune([poly], tables, char2, ids, digits)
-        cost += weight * (size * q * depth + terms)
-        if ids.size > _PLAN_SAMPLE:
-            weight *= ids.size / _PLAN_SAMPLE
-            digits = digits[:, rng.sample(range(ids.size), _PLAN_SAMPLE)]
+    for depth in range(last):
+        level = levels[depth + 1]
+        if level is None and codes.size * q > _PLAN_SAMPLE:
+            # a free variable keeps all q children of every prefix, so one
+            # random child per prefix stands for them
+            cost += weight * codes.size * q * (depth + 1)
+            weight *= q
+            digit = _random_words(rng, codes.size) % np.uint64(q)
+            digits = np.vstack([digits, digit.astype(np.uint8)])
+            codes = codes * np.uint64(q) + digit
+            continue
+        codes, digits, work = _step(level, tables, char2, depth,
+                                    codes, digits)
+        cost += weight * work
+        if codes.size > _PLAN_SAMPLE:
+            weight *= codes.size / _PLAN_SAMPLE
+            # the prefixes with the smallest of one random key each
+            pick = _random_words(rng, codes.size).argpartition(
+                _PLAN_SAMPLE)[:_PLAN_SAMPLE]
+            codes, digits = codes[pick], digits[:, pick]
     return cost
+
+
+def _random_words(rng: random.Random, size: int) -> np.ndarray:
+    """``size`` random ``uint64`` words from one call of ``rng``."""
+    bits = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
+    return np.frombuffer(bits, dtype=np.uint64)
 
 
 def plan(system: CompiledSystem) -> tuple[CompiledSystem, float, float]:

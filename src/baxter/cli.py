@@ -395,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chunk", type=int, default=1 << 20,
-        help="max candidates per expansion step (memory bound;"
-        " default 2^20)",
+        help="max entries per kernel step (memory bound; default 2^20)",
     )
     p.set_defaults(fn=_cmd_enumerate)
 

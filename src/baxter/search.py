@@ -24,24 +24,29 @@ step by construction and cross-checked in the test suite:
   generic code over a polynomial ring and hands the frozen system to the
   vectorized evaluator in :mod:`baxter._kernel`.
 
-Sweeps are deterministic: a sweep larger than its ``chunk`` runs each
-compiled system in the variable order :func:`baxter._kernel.plan` picks
-for it, cut into a fixed number of equal ranges of that order's search
-codes whatever the worker count; each range returns its survivors as
-tensor encodings, and the joined ranges are sorted once (unless the order
-is natural, where they already ascend), so the report is identical for
-any worker count, chunk size or variable order.  The chosen orders and
-their estimated costs go to the ``baxter`` logger at DEBUG.  With
-``workers > 1`` (default from the ``YBE_WORKERS`` environment variable) the
-calling process and ``workers - 1`` helper processes, started on first use
-and kept for later sweeps, share the ranges; a worker count above the
-number of ranges is cut to it.
+Sweeps are deterministic: a compiled system without polys is the whole
+space and is built in the calling process without a kernel call.  A sweep
+larger than its ``chunk`` runs every other compiled system in the variable
+order :func:`baxter._kernel.plan` picks for it, cut into a fixed number of
+equal ranges of that order's search codes whatever the worker count; each
+range returns its survivors as tensor encodings, and the joined ranges are
+sorted once (unless the order is natural, where they already ascend), so
+the report is identical for any worker count, chunk size or variable
+order.  The chosen orders and their estimated costs go to the ``baxter``
+logger at DEBUG.  With ``workers > 1`` (default from the ``YBE_WORKERS``
+environment variable) the calling process and ``workers - 1`` helper
+processes, started on first use and kept for later sweeps, share the
+ranges; a worker count above the number of ranges is cut to it.  The two
+sides are compared as sorted arrays: the smaller is looked up in the
+larger, and only the first ``COUNTEREXAMPLE_CAP`` disagreements of each
+side are materialised.
 """
 from __future__ import annotations
 
 import json
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
@@ -382,8 +387,8 @@ class SweepSpec:
 
     ``domain`` names a selector whose equations are conjoined to both
     sides, so the report counts and compares within it and its ``total``
-    is the domain's size.  ``chunk`` bounds the candidates the kernel holds
-    in one expansion step (memory); it never changes the report.  ``limit``
+    is the domain's size.  ``chunk`` bounds the entries the kernel holds
+    in one step (memory); it never changes the report.  ``limit``
     caps the solutions ``keep_solutions`` keeps to the smallest ``limit``
     encodings.
     """
@@ -402,21 +407,29 @@ class SweepSpec:
 # A sweep larger than ``chunk`` is cut into this many equal encoding ranges
 # whatever the worker count, and the ranges' results are joined in order.
 _BLOCKS = 32
+# A helper replies block by block until its replies to a task reach this
+# many bytes, and sends the rest when the task ends.  It stays below the
+# 208 KiB a Linux socket pair buffers by default, so no reply waits on the
+# caller, which reads replies only once it has no block left.
+_REPLY_BYTES = 1 << 17
 
 
 def _solve_block(task, index: int):
-    pred_sys, class_sys, bounds, chunk = task
+    systems, bounds, chunk = task
     start, stop = bounds[index], bounds[index + 1]
-    pred = solutions_in_range(pred_sys, start, stop, chunk)
-    if class_sys is None:
-        return pred, None
-    return pred, solutions_in_range(class_sys, start, stop, chunk)
+    return [solutions_in_range(system, start, stop, chunk)
+            for system in systems]
 
 
-def _take(counter) -> int:
+def _take(counter, sweep: int, nblocks: int) -> int | None:
+    """The next block of sweep number ``sweep``; None once that sweep has
+    none left or a later sweep has reset the counter."""
     with counter.get_lock():
-        index = counter.value
-        counter.value = index + 1
+        value = counter.value
+        index = value & 0xFFFFFFFF
+        if value >> 32 != sweep or index >= nblocks:
+            return None
+        counter.value = value + 1
     return index
 
 
@@ -447,7 +460,9 @@ def _leave_cpu_of(parent: int) -> None:
 
 
 def _helper_main(conn, counter, parent: int) -> None:
-    """Helper process loop: one reply per task until the caller goes away.
+    """Helper process loop: per task, a reply for each block it takes (or
+    one reply with the blocks past ``_REPLY_BYTES`` when the task ends),
+    or a failure reply, until the caller goes away.
 
     Ctrl-C reaches the whole process group; the caller handles it and stops
     its helpers, so a helper ignores it instead of printing a traceback.
@@ -458,18 +473,24 @@ def _helper_main(conn, counter, parent: int) -> None:
             if os.getppid() != parent:
                 return
         try:
-            task = conn.recv()
+            sweep, task = conn.recv()
         except EOFError:
             return
         _leave_cpu_of(parent)
+        nblocks = len(task[1]) - 1
+        held, sent = [], 0
         try:
-            nblocks = len(task[2]) - 1
-            done = []
-            while (index := _take(counter)) < nblocks:
-                done.append((index, _solve_block(task, index)))
-            conn.send((True, done))
+            while (index := _take(counter, sweep, nblocks)) is not None:
+                reply = (sweep, index, _solve_block(task, index))
+                sent += sum(part.nbytes for part in reply[2])
+                if sent > _REPLY_BYTES:
+                    held.append(reply)
+                else:
+                    conn.send([reply])
+            if held:
+                conn.send(held)
         except Exception:
-            conn.send((False, traceback.format_exc()))
+            conn.send([(sweep, None, traceback.format_exc())])
 
 
 class _Helpers:
@@ -477,11 +498,16 @@ class _Helpers:
 
     For each sweep the caller hands its task to ``workers - 1`` helpers;
     they and the caller then take block indices off one shared counter until
-    none is left, so the caller never idles while blocks remain and a slow
-    participant holds up at most one block.  Where the platform can fork,
-    helpers are forked, as the process pool they replace was on Linux, so
-    scripts without a ``__main__`` guard keep working; baxter starts no
-    threads that a fork could catch holding a lock.
+    none is left, so the caller never idles while blocks remain.  Helpers
+    reply block by block.  Once the caller has no block left, it computes
+    a block that is still missing itself whenever no reply comes within
+    twice the time its own blocks took on average, so a helper that the
+    machine stalls holds up the sweep by about two blocks, not by its whole
+    stall.  The counter and every reply carry the sweep's number, so a late
+    helper or a late reply never mixes into a later sweep.  Where the
+    platform can fork, helpers are forked, as the process pool they replace
+    was on Linux, so scripts without a ``__main__`` guard keep working;
+    baxter starts no threads that a fork could catch holding a lock.
     """
 
     def __init__(self):
@@ -490,6 +516,7 @@ class _Helpers:
             "fork" if "fork" in methods else None
         )
         self._counter = self._ctx.Value("q", 0)
+        self._sweep = 0
         self._procs = []
         self._conns = []
 
@@ -507,24 +534,43 @@ class _Helpers:
             self._conns.append(here)
 
     def run(self, task, count: int) -> list:
-        nblocks = len(task[2]) - 1
+        nblocks = len(task[1]) - 1
         conns = self._conns[:count]
-        with self._counter.get_lock():
-            self._counter.value = 0
+        self._sweep += 1
+        sweep = self._sweep
         results = [None] * nblocks
+
+        def collect(timeout) -> bool:
+            """Store the replies that come within ``timeout``."""
+            ready = multiprocessing.connection.wait(conns, timeout)
+            for conn in ready:
+                for tag, index, result in conn.recv():
+                    if tag == sweep and index is None:
+                        raise RuntimeError(f"sweep helper failed:\n{result}")
+                    if tag == sweep and results[index] is None:
+                        results[index] = result
+            return bool(ready)
+
         try:
             for conn in conns:
-                conn.send(task)
-            while (index := _take(self._counter)) < nblocks:
-                results[index] = _solve_block(task, index)
+                while conn.poll():  # late replies to an earlier sweep
+                    conn.recv()
+            with self._counter.get_lock():
+                self._counter.value = sweep << 32
             for conn in conns:
-                ok, done = conn.recv()
-                if not ok:
-                    raise RuntimeError(f"sweep helper failed:\n{done}")
-                for index, result in done:
-                    results[index] = result
+                conn.send((sweep, task))
+            start, mine = time.perf_counter(), 0
+            while (index := _take(self._counter, sweep, nblocks)) is not None:
+                results[index] = _solve_block(task, index)
+                mine += 1
+            elapsed = time.perf_counter() - start
+            patience = 2 * elapsed / mine if mine else 0.01
+            while None in results:
+                if not collect(patience):
+                    index = results.index(None)
+                    results[index] = _solve_block(task, index)
         except BaseException:
-            # replies still in flight would answer the next sweep
+            # stop helpers that may still be busy with this sweep
             self.close()
             raise
         return results
@@ -556,40 +602,76 @@ def _solve(pred_sys, class_sys, total: int, chunk: int, workers: int):
     """Ascending ``(pred, class)`` solution arrays over all ``total``
     encodings; ``class`` is None without a classifier system.
 
-    A sweep larger than ``chunk`` runs each system in the variable order
-    :func:`baxter._kernel.plan` picks for it, cut into ``_BLOCKS`` ranges
-    of that system's search codes; each range comes back as encodings, and
-    the joined ranges are sorted unless the order is natural.
+    A system without polys is the whole space and needs no kernel call.
+    A sweep larger than ``chunk`` runs every other system in the variable
+    order :func:`baxter._kernel.plan` picks for it, cut into ``_BLOCKS``
+    ranges of that system's search codes; each range comes back as
+    encodings, and the joined ranges are sorted unless the order is
+    natural.
     """
+    out = [None, None]
+    systems, sides = [], []
+    for side, system in enumerate((pred_sys, class_sys)):
+        if system is None:
+            continue
+        if not system.polys:
+            out[side] = np.arange(total, dtype=np.uint64)
+            continue
+        systems.append(system)
+        sides.append(side)
+    if not systems:
+        return tuple(out)
     if total <= chunk:
-        return _solve_block((pred_sys, class_sys, (0, total), chunk), 0)
-    systems = [pred_sys, class_sys]
-    notes = []
-    for side, role in enumerate(("predicate", "classifier")):
-        if systems[side] is not None:
-            systems[side], natural, greedy = plan(systems[side])
+        parts = [_solve_block((systems, (0, total), chunk), 0)]
+    else:
+        notes = []
+        for i, side in enumerate(sides):
+            systems[i], natural, greedy = plan(systems[i])
             notes.append(
-                f"{role} {systems[side].var_order or 'natural'}, estimated"
+                f"{('predicate', 'classifier')[side]}"
+                f" {systems[i].var_order or 'natural'}, estimated"
                 f" cost natural {natural:.3g} greedy {greedy:.3g}"
             )
-    _LOG.debug("variable order: %s", "; ".join(notes))
-    bounds = tuple(total * k // _BLOCKS for k in range(_BLOCKS + 1))
-    task = (*systems, bounds, chunk)
-    workers = min(workers, _BLOCKS)  # a participant without a block idles
-    if workers == 1:
-        parts = [_solve_block(task, index) for index in range(_BLOCKS)]
-    else:
-        with _HELPERS_LOCK:
-            parts = _helpers(workers - 1).run(task, workers - 1)
-    out = []
-    for side, system in enumerate(systems):
-        joined = None
-        if system is not None:
-            joined = np.concatenate([part[side] for part in parts])
-            if system.var_order is not None:
-                joined.sort()
-        out.append(joined)
+        _LOG.debug("variable order: %s", "; ".join(notes))
+        bounds = tuple(total * k // _BLOCKS for k in range(_BLOCKS + 1))
+        task = (systems, bounds, chunk)
+        workers = min(workers, _BLOCKS)  # a participant without a block idles
+        if workers == 1:
+            parts = [_solve_block(task, index) for index in range(_BLOCKS)]
+        else:
+            with _HELPERS_LOCK:
+                parts = _helpers(workers - 1).run(task, workers - 1)
+    for i, side in enumerate(sides):
+        joined = np.concatenate([part[i] for part in parts])
+        if systems[i].var_order is not None:
+            joined.sort()
+        out[side] = joined
     return tuple(out)
+
+
+def _sorted_diff(a: np.ndarray, b: np.ndarray):
+    """For sorted arrays of distinct values: the size of ``a - b`` and its
+    first ``COUNTEREXAMPLE_CAP`` entries, then the same for ``b - a``.
+
+    The smaller array is looked up in the larger one, so the work is the
+    smaller array's size times a binary search, plus the cap.
+    """
+    swap = a.size > b.size
+    small, large = (b, a) if swap else (a, b)
+    pos = np.searchsorted(large, small)
+    hit = pos < large.size
+    hit[hit] = large[pos[hit]] == small[hit]
+    common = int(np.count_nonzero(hit))
+    small_only = small[~hit][:COUNTEREXAMPLE_CAP]
+    # at most ``common`` hits come before the cap-th entry that is no hit
+    head = min(large.size, COUNTEREXAMPLE_CAP + common)
+    found = pos[hit]
+    free = np.ones(head, dtype=bool)
+    free[found[:found.searchsorted(head)]] = False
+    large_only = large[:head][free][:COUNTEREXAMPLE_CAP]
+    sides = [(small.size - common, small_only),
+             (large.size - common, large_only)]
+    return sides[::-1] if swap else sides
 
 
 @dataclass
@@ -690,19 +772,17 @@ def sweep(spec: SweepSpec) -> SolutionReport:
             )
     duration_ms = (time.perf_counter() - t0) * 1000.0
 
-    if class_sys is None:
-        classifier_count = None
-        pred_only = class_only = pred[:0]
-        agreement = None
-    else:
+    classifier_count = agreement = None
+    diff = [(0, pred[:0]), (0, pred[:0])]
+    if class_sys is not None:
         classifier_count = int(cls.size)
-        pred_only = np.setdiff1d(pred, cls, assume_unique=True)
-        class_only = np.setdiff1d(cls, pred, assume_unique=True)
-        agreement = not pred_only.size and not class_only.size
+        diff = _sorted_diff(pred, cls)
+        agreement = not diff[0][0] and not diff[1][0]
+    (pred_only_count, pred_only), (class_only_count, class_only) = diff
 
     candidates = sorted(
-        [(code, True) for code in pred_only[:COUNTEREXAMPLE_CAP].tolist()]
-        + [(code, False) for code in class_only[:COUNTEREXAMPLE_CAP].tolist()]
+        [(code, True) for code in pred_only.tolist()]
+        + [(code, False) for code in class_only.tolist()]
     )[:COUNTEREXAMPLE_CAP]
     counterexamples = [
         {
@@ -725,8 +805,8 @@ def sweep(spec: SweepSpec) -> SolutionReport:
         total=total,
         predicate_count=int(pred.size),
         classifier_count=classifier_count,
-        pred_only_count=int(pred_only.size),
-        class_only_count=int(class_only.size),
+        pred_only_count=pred_only_count,
+        class_only_count=class_only_count,
         agreement=agreement,
         counterexamples=counterexamples,
         duration_ms=duration_ms,

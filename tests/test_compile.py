@@ -15,8 +15,10 @@ from baxter import (
     selector_predicate,
     sweep,
 )
+from baxter import field
 from baxter._kernel import (
     CompiledSystem,
+    _compile,
     compile_polys,
     evaluate_code,
     plan,
@@ -233,3 +235,45 @@ def test_plan_keeps_natural_order_where_it_is_cheaper(f4, f8):
     empty = compile_selector(make_dim2(f4, "abelian"), "cybe")
     assert plan(empty) == (empty, 0.0, 0.0)
 
+
+
+# Systems whose every level is linear in the variable it assigns, so the
+# kernel solves each level on the parent prefixes: (field, variables, polys,
+# solution count).
+LINEAR_CASES = {
+    # x0 x1: where x0 = 0, both a and c vanish and every digit of x1 solves
+    "every digit": ((2, 2, 0b111), 2, lambda r, x: [x[0] * x[1]], 7),
+    # x0 x1 + 1: where x0 = 0, a = 0 and c = 1, so no digit solves
+    "no digit": ((2, 2, 0b111), 2, lambda r, x: [x[0] * x[1] + r.one()], 3),
+    # x1 and x1 + 1 have different roots
+    "different roots": (
+        (2, 2, 0b111), 2, lambda r, x: [x[1], x[1] + r.one()], 0),
+    # x1 = -x0 / 2 over GF(5)
+    "negation gf5": ((5, 1, None), 2, lambda r, x: [x[0] + r.const(2) * x[1]],
+                     5),
+    # x1 = -(x0 + 1) / t over GF(9) = GF(3)[t]/(t^2 + 1), t encoded as 3
+    "negation gf9": (
+        (3, 2, 10), 2, lambda r, x: [x[0] + r.const(3) * x[1] + r.one()], 9),
+    # two polys closed by x2, with roots -x1/x0 and -x0, over GF(5)
+    "two polys gf5": (
+        (5, 1, None), 3,
+        lambda r, x: [x[0] * x[2] + x[1], x[2] + x[0]], 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_CASES))
+def test_linear_levels_match_reference(name):
+    (p, m, modulus), nvars, build, count = LINEAR_CASES[name]
+    ring = PolyRing(field(p, m, modulus), nvars)
+    system = compile_polys(ring, build(ring, [ring.var(i)
+                                              for i in range(nvars)]))
+    total = system.order ** nvars
+    want = [code for code in range(total) if evaluate_code(system, code)]
+    assert len(want) == count
+    for order in (None, tuple(reversed(range(nvars)))):
+        ordered = system._replace(var_order=order)
+        levels, _ = _compile(ordered)
+        assert all(level.linear is not None for level in levels if level)
+        for chunk in (1, 1 << 20):
+            got = solutions_in_range(ordered, 0, total, chunk).tolist()
+            assert sorted(got) == want

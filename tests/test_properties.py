@@ -115,33 +115,42 @@ def _encoding(code: int, order, q: int) -> int:
     return encoding
 
 
-@_settings
+def _selectors(algebra):
+    """Every selector that applies to ``algebra`` without parameters."""
+    if isinstance(algebra, LieAlgebra):
+        return LIE_SELECTORS
+    return ("qybe", "symmetric", "strongly-symmetric", "im-one-minus-tau")
+
+
+@settings(_settings, max_examples=30)
 @given(data=st.data())
 def test_kernel_matches_reference_evaluator(data):
-    algebra, name = data.draw(algebras())
-    system = compile_selector(algebra, name)
-    order = data.draw(st.none() | st.permutations(range(system.nvars)))
-    system = system._replace(var_order=order)
-    q = system.order
-    total = q ** system.nvars
+    # Every selector is checked on each draw: hypothesis clusters its
+    # draws, so one drawn selector per example can leave a selector with
+    # no example in a run.
+    algebra, _ = data.draw(algebras())
+    n = algebra.dim * algebra.dim
+    order = data.draw(st.none() | st.permutations(range(n)))
+    q = algebra.field.q
+    total = q ** n
     start = data.draw(st.integers(0, total - 1))
     stop = data.draw(st.integers(start, min(total, start + 1500)))
     chunk = data.draw(st.sampled_from(CHUNKS))
-    got = solutions_in_range(system, start, stop, chunk).tolist()
-    want = [e for e in (_encoding(c, order, q) for c in range(start, stop))
-            if evaluate_code(system, e)]
-    assert got == want
-    # the object route on up to 8 solutions and 8 encodings of the range
-    member = selector_predicate(algebra, name)
-    codes = data.draw(st.lists(st.integers(start, max(start, stop - 1)),
-                               max_size=8))
-    codes = [_encoding(c, order, q) for c in codes if c < stop]
-    if got:
-        codes += data.draw(st.lists(st.sampled_from(got), max_size=8))
-    kept = set(got)
-    for code in codes:
-        r = Tensor2.decode(algebra.field, algebra.dim, code)
-        assert member(r) == (code in kept), code
+    codes = [_encoding(c, order, q) for c in range(start, stop)]
+    probes = data.draw(st.lists(st.integers(0, max(0, len(codes) - 1)),
+                                max_size=8))
+    for name in _selectors(algebra):
+        system = compile_selector(algebra, name)._replace(var_order=order)
+        got = solutions_in_range(system, start, stop, chunk).tolist()
+        want = [e for e in codes if evaluate_code(system, e)]
+        assert got == want, name
+        # the object route on up to 8 encodings of the range and the
+        # first and last solution
+        member = selector_predicate(algebra, name)
+        kept = set(got)
+        for code in [codes[i] for i in probes if codes] + got[:1] + got[-1:]:
+            r = Tensor2.decode(algebra.field, algebra.dim, code)
+            assert member(r) == (code in kept), (name, code)
 
 
 @settings(_settings, max_examples=30)

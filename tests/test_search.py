@@ -2,6 +2,7 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from baxter import (
@@ -15,6 +16,7 @@ from baxter import (
     make_dim2,
     make_family_ab,
     make_family_bd,
+    compile_selector,
     make_matrix_algebra,
     resolve_workers,
     selector_predicate,
@@ -22,7 +24,9 @@ from baxter import (
     sweep,
     tensor_count,
 )
+from baxter._kernel import solutions_in_range
 from baxter.errors import InputError, SweepTooLarge
+from baxter.search import COUNTEREXAMPLE_CAP, _sorted_diff
 
 
 def test_tensor_count(f2, f4, f8):
@@ -255,6 +259,73 @@ def test_sweep_memory_bounded_by_chunk(f8):
     assert small.canonical_json() == whole.canonical_json()
 
 
+def test_kernel_memory_bounded_by_chunk_on_qybe(f2):
+    # The bound of test_sweep_memory_bounded_by_chunk on the kernel alone.
+    # A level solved on the parent prefixes holds one entry per term and
+    # prefix, and QYBE levels carry the most terms: the linear level of
+    # M2's 14th variable has 28.  Halving only by the q children of a
+    # prefix would peak at about 0.58 MB here.
+    import tracemalloc
+
+    system = compile_selector(make_matrix_algebra(f2, 2), "qybe")
+    whole = solutions_in_range(system, 0, 1 << 16)
+    chunk = 1 << 12
+    tracemalloc.start()
+    try:
+        got = solutions_in_range(system, 0, 1 << 16, chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * chunk * (16 + 8) + 2 * 8 * whole.size
+    assert got.tolist() == whole.tolist()
+
+
+def _diff_pairs():
+    rng = np.random.default_rng(7)
+
+    def draw(size, top):
+        return np.unique(rng.integers(0, top, size)).astype(np.uint64)
+
+    many, few = draw(3000, 10 ** 4), draw(40, 10 ** 4)
+    evens = np.arange(0, 200, 2, dtype=np.uint64)
+    yield "empty", np.empty(0, np.uint64), many
+    yield "both empty", np.empty(0, np.uint64), np.empty(0, np.uint64)
+    yield "disjoint", evens, evens + np.uint64(1)
+    yield "subset", many[::3], many
+    yield "equal", many, many.copy()
+    yield "overlap", many, np.union1d(few, many[:50])
+    yield "random", draw(500, 800), draw(300, 800)
+
+
+@pytest.mark.parametrize("name, a, b", list(_diff_pairs()))
+def test_sorted_diff_matches_setdiff1d(name, a, b):
+    for x, y in ((a, b), (b, a)):
+        want = [np.setdiff1d(x, y, assume_unique=True),
+                np.setdiff1d(y, x, assume_unique=True)]
+        got = _sorted_diff(x, y)
+        for (count, head), full in zip(got, want):
+            assert count == full.size
+            assert head.tolist() == full[:COUNTEREXAMPLE_CAP].tolist()
+
+
+def test_sweep_with_empty_predicate_identical_across_workers_and_chunks(f4):
+    # Every tensor solves CYBE for the abelian algebra, so the predicate's
+    # system has no polys and is the whole space without a kernel call.
+    L = make_dim2(f4, "abelian")
+    canon = set()
+    for workers in (1, 2):
+        for chunk in (1 << 4, 1 << 6, 1 << 20):
+            report = sweep(SweepSpec(
+                algebra=L, predicate="cybe", classifier="symmetric",
+                chunk=chunk, workers=workers, keep_solutions=True,
+            ))
+            canon.add(report.canonical_json())
+    assert len(canon) == 1
+    assert report.solutions == list(range(4 ** 4))
+    assert report.class_only_count == 0
+    assert report.pred_only_count == 4 ** 4 - report.classifier_count
+
+
 def test_sweep_within_one_chunk_starts_no_helpers(f2, monkeypatch):
     from baxter import search
 
@@ -330,6 +401,36 @@ def test_sweep_helper_failure_raises_and_pool_recovers(f4, monkeypatch):
     monkeypatch.undo()  # the next sweep forks unpatched helpers
     assert (sweep(SweepSpec(workers=2, **spec)).canonical_json()
             == sweep(SweepSpec(workers=1, **spec)).canonical_json())
+
+
+def test_sweep_does_not_wait_out_a_stalled_helper(f4, monkeypatch):
+    # Every block a helper takes stalls for 5 s; the caller computes those
+    # blocks itself once their replies are late.
+    import os
+    import time
+
+    from baxter import search
+
+    search._helpers(0).close()  # helpers forked below inherit the patch
+    caller = os.getpid()
+    real = search._solve_block
+
+    def stalling(task, index):
+        if os.getpid() != caller:
+            time.sleep(5)
+        return real(task, index)
+
+    monkeypatch.setattr(search, "_solve_block", stalling)
+    L = make_family_bd(f4, f4.zero(), f4.element(2))
+    spec = dict(algebra=L, predicate="cybe", classifier="prop16-case",
+                chunk=1 << 12, keep_solutions=True)
+    try:
+        t0 = time.perf_counter()
+        got = sweep(SweepSpec(workers=2, **spec)).canonical_json()
+        assert time.perf_counter() - t0 < 2.5
+    finally:
+        search._helpers(0).close()  # the stalled helper still sleeps
+    assert got == sweep(SweepSpec(workers=1, **spec)).canonical_json()
 
 
 def test_planned_sweep_logs_its_variable_order(f4, caplog):
