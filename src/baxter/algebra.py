@@ -31,6 +31,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .gf import Field, FieldElement, parse_element, parse_field
+from .tensor import _contract, _nonzero_entries
 
 __all__ = [
     "StructureConstants",
@@ -147,6 +148,16 @@ class AssocAlgebra:
         return f"AssocAlgebra({self.label}, dim={self.dim}, {self.field.literal()})"
 
 
+def _first_nonzero(zero, *parts):
+    """The smallest index at which the sparse ``{index: value}`` dicts
+    ``parts`` sum to a nonzero value, or None."""
+    total: dict[tuple, object] = {}
+    for part in parts:
+        for idx, v in part.items():
+            total[idx] = total[idx] + v if idx in total else v
+    return min((idx for idx, v in total.items() if v != zero), default=None)
+
+
 def lie_validate(sc: StructureConstants, label: str = "lie",
                  params: FamilyParams | None = None) -> LieAlgebra:
     """Check alternating, antisymmetric, and Jacobi; return the algebra."""
@@ -162,36 +173,25 @@ def lie_validate(sc: StructureConstants, label: str = "lie",
             for k in range(n):
                 if c[i][j][k] + c[j][i][k] != zero:
                     raise NotAntisymmetric(i, j, k)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    acc = zero
-                    for s in range(n):
-                        acc = acc + c[i][j][s] * c[s][k][m]
-                        acc = acc + c[j][k][s] * c[s][i][m]
-                        acc = acc + c[k][i][s] * c[s][j][m]
-                    if acc != zero:
-                        raise JacobiFailure(i, j, k, m)
+    entries = _nonzero_entries(c, 3, zero)
+    bad = _first_nonzero(zero, *(
+        _contract("ijkm", [(first, entries), (second, entries)])
+        for first, second in (("ijs", "skm"), ("jks", "sim"), ("kis", "sjm"))
+    ))
+    if bad is not None:
+        raise JacobiFailure(*bad)
     return LieAlgebra(sc, label=label, params=params or FamilyParams())
 
 
 def assoc_validate(sc: StructureConstants, label: str = "assoc") -> AssocAlgebra:
     """Check associativity of the product constants; return the algebra."""
-    n = sc.dim
-    a = sc.c
     zero = sc.field.zero()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    left = zero
-                    right = zero
-                    for s in range(n):
-                        left = left + a[i][j][s] * a[s][k][m]
-                        right = right + a[j][k][s] * a[i][s][m]
-                    if left != right:
-                        raise AssociativityFailure(i, j, k, m)
+    a = _nonzero_entries(sc.c, 3, zero)
+    left = _contract("ijkm", [("ijs", a), ("skm", a)])
+    right = _contract("ijkm", [("jks", a), ("ism", a)])
+    bad = _first_nonzero(zero, left, {idx: -v for idx, v in right.items()})
+    if bad is not None:
+        raise AssociativityFailure(*bad)
     return AssocAlgebra(sc, label=label)
 
 

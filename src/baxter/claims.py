@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field, replace
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import bialgebra, ybe
 from .algebra import (
+    StructureConstants,
     commutator_lie,
+    lie_validate,
     make_dim2,
     make_family_ab,
     make_family_bd,
@@ -35,7 +38,7 @@ from .search import (
     strong_symmetric_enumerate,
     sweep,
 )
-from .tensor import BasisChange, Tensor2
+from .tensor import BasisChange, Tensor2, _contract, _nonzero_entries
 
 __all__ = ["CLAIM_IDS", "ClaimResult", "claim_check", "claim_default_fields"]
 
@@ -206,13 +209,32 @@ def _run_rows(res: ClaimResult, rows, fields, workers) -> None:
 # claims that are not sweeps
 
 
+def _members(algebra, name: str, workers) -> list[Tensor2]:
+    """The tensors the selector ``name`` selects in ``algebra``, ascending."""
+    report = sweep(SweepSpec(algebra=algebra, predicate=name,
+                             workers=workers, keep_solutions=True))
+    return [Tensor2.decode(algebra.field, algebra.dim, code)
+            for code in report.solutions]
+
+
 def _claim_lemma02(res: ClaimResult, fields, workers) -> None:
     """Strong-symmetry structure: basis-change invariance, implied symmetry,
-    product permutation invariance, and the rank-one normal form."""
+    product permutation invariance, and the rank-one normal form, checked on
+    the tensors the ``strongly-symmetric`` selector selects."""
     for f in fields:
-        # (II) implied symmetry + (IV) rank-one round trip, dims 1..3
+        # (II) implied symmetry + (IV) rank-one round trip, dims 1..3, on the
+        # selector's members, which must be the rank-one construction's
         for dim in (1, 2, 3):
-            members = strong_symmetric_enumerate(f, dim)
+            abelian = lie_validate(StructureConstants.from_terms(f, dim, {}))
+            members = _members(abelian, "strongly-symmetric", workers)
+            built = strong_symmetric_enumerate(f, dim)
+            if members != built:
+                res.passed = False
+                res.notes.append(
+                    f"{f.literal()} dim {dim}: the selector selects "
+                    f"{len(members)} tensors, the rank-one normal form "
+                    f"builds {len(built)}"
+                )
             for r in members:
                 if not r.is_symmetric():
                     res.passed = False
@@ -238,15 +260,17 @@ def _claim_lemma02(res: ClaimResult, fields, workers) -> None:
                 f"{f.literal()} dim {dim}: {len(members)} strongly symmetric"
                 f" tensors; symmetry and rank-one round-trip hold"
             )
-        # (III) product invariance under all quadruple permutations, dim 3
+        # (III) product invariance under all quadruple permutations, on the
+        # dim-3 members: k (x) k keyed (i, j, l, m) equals every permutation
+        # of its keys
         perm_fail = 0
-        for r in strong_symmetric_enumerate(f, 3):
-            k = r.rows
-            for quad in itertools.product(range(3), repeat=4):
-                base = k[quad[0]][quad[1]] * k[quad[2]][quad[3]]
-                for perm in itertools.permutations(quad):
-                    if k[perm[0]][perm[1]] * k[perm[2]][perm[3]] != base:
-                        perm_fail += 1
+        for r in members:
+            k = _nonzero_entries(r.rows, 2, f.zero())
+            prod = _contract("ijlm", [("ij", k), ("lm", k)])
+            for perm in itertools.permutations(range(4)):
+                moved = {itemgetter(*perm)(key): v for key, v in prod.items()}
+                if moved != prod:
+                    perm_fail += 1
         if perm_fail:
             res.passed = False
         res.notes.append(
@@ -286,15 +310,7 @@ def _claim_lemma211(res: ClaimResult, fields, workers) -> None:
         cube_fail = 0
         checked = 0
         algebras = _dim3_lie_algebras(f)
-        im = sweep(
-            SweepSpec(
-                algebra=algebras[0],
-                predicate="im-one-minus-tau",
-                workers=workers,
-                keep_solutions=True,
-            )
-        )
-        members = [Tensor2.decode(f, 3, code) for code in im.solutions]
+        members = _members(algebras[0], "im-one-minus-tau", workers)
         for L in algebras:
             for r in members:
                 c = ybe.cybe_residual(L, r)

@@ -15,14 +15,19 @@ A sweep may also name a *domain* selector; its equations are conjoined to
 both sides and the report's ``total`` counts the domain instead of the
 whole space.
 
-Each selector has two independent evaluation routes that are kept in lock
-step by construction and cross-checked in the test suite:
+Each selector's equations are written once, in ``_equations``, against
+generic ring scalars.  Two evaluation routes use them and are
+cross-checked in the test suite:
 
+* a compiled route (:func:`build_selector_system`) that replays
+  ``_equations`` over a polynomial ring and hands the frozen system to the
+  vectorized evaluator in :mod:`baxter._kernel`, and
 * an object route (:func:`selector_predicate`) evaluating one tensor at a
-  time with field elements, and
-* a compiled route (:func:`build_selector_system`) that replays the same
-  generic code over a polynomial ring and hands the frozen system to the
-  vectorized evaluator in :mod:`baxter._kernel`.
+  time with field elements.  The nine selectors with a test of their own
+  (``is_cybe_solution``, ``is_strongly_symmetric``,
+  ``im_one_minus_tau_member``, ...) keep it, as the oracle the compiled
+  route is held to; the paper's closed forms evaluate ``_equations`` on
+  the tensor's field elements.
 
 Sweeps are deterministic: a compiled system without polys is the whole
 space and is built in the calling process without a kernel call.  A sweep
@@ -59,7 +64,7 @@ import numpy as np
 from . import bialgebra, ybe
 from ._kernel import CompiledSystem, compile_polys, plan, solutions_in_range
 from ._poly import PolyRing
-from .algebra import AssocAlgebra, LieAlgebra
+from .algebra import AssocAlgebra, LieAlgebra, StructureConstants
 from .errors import InputError, SweepTooLarge
 from .tensor import Tensor2, im_one_minus_tau_member, named_view
 
@@ -139,16 +144,6 @@ def strong_symmetric_enumerate(field, dim: int) -> list[Tensor2]:
 # ---------------------------------------------------------------------------
 # selector registry
 
-# Selectors given by the paper's closed forms for the dim-3 families; both
-# routes evaluate the same equations from ``_closed_form``.
-_CLOSED_FORMS = (
-    "expanded-relations",
-    "su-family",
-    "im-and-alpha-beta-symmetric",
-    "bd-printed-coboundary",
-    "bd-printed-triangular",
-)
-
 SELECTOR_NAMES = (
     "cybe",
     "qybe",
@@ -159,7 +154,12 @@ SELECTOR_NAMES = (
     "triangular",
     "symmetric",
     "im-one-minus-tau",
-) + _CLOSED_FORMS
+    "expanded-relations",
+    "su-family",
+    "im-and-alpha-beta-symmetric",
+    "bd-printed-coboundary",
+    "bd-printed-triangular",
+)
 
 _LIE_SELECTORS = {"cybe", "coboundary", "triangular"}
 _ASSOC_SELECTORS = {"qybe"}
@@ -190,68 +190,77 @@ def _family_params(algebra, name: str, *attrs):
     return tuple(values)
 
 
-class _Lifted:
-    """An algebra's structure constants lifted into a polynomial ring."""
+def _im_polys(kt: Tensor2):
+    """Membership of Im(1 - tau) as linear relations: a zero diagonal and
+    ``k_ij + k_ji = 0``, which is symmetry in characteristic 2."""
+    k, n = kt.rows, kt.dim
+    return [k[i][i] for i in range(n)] + [
+        k[i][j] + k[j][i] for i in range(n) for j in range(i + 1, n)
+    ]
 
-    __slots__ = ("field", "dim", "c")
 
-    def __init__(self, algebra, ring: PolyRing):
-        self.field = ring
-        self.dim = algebra.dim
-        self.c = tuple(
-            tuple(
-                tuple(ring.const(v) for v in row)
-                for row in plane
-            )
-            for plane in algebra.c
+def _values(t) -> list:
+    """Every coefficient of a ``Tensor2`` or ``Tensor3``, in index order."""
+    return [v for *_, v in t.entries()]
+
+
+def _equations(algebra, name: str, kt: Tensor2, const) -> list:
+    """The selector's equations in the scalars of ``kt``: a tensor is a
+    member iff every one vanishes on its coefficients.
+
+    ``kt`` holds ring variables on the compiled route and field elements on
+    the object route; ``const`` lifts a field element to those scalars.
+    """
+    k, n, field = kt.rows, kt.dim, algebra.field
+    if name in _LIE_SELECTORS | _ASSOC_SELECTORS:  # read the constants
+        sc = StructureConstants(kt.field, algebra.dim, [
+            [[const(v) for v in row] for row in plane] for plane in algebra.c
+        ])
+    if name == "cybe":
+        return _values(ybe.cybe_residual(sc, kt))
+    if name == "qybe":
+        lhs, rhs = ybe.qybe_sides(sc, kt)
+        return [lv - rv for lv, rv in zip(_values(lhs), _values(rhs))]
+    if name == "coboundary":
+        return _im_polys(kt) + [
+            v for defect in bialgebra.cojacobi_defect(sc, kt)
+            for v in _values(defect)
+        ]
+    if name == "triangular":
+        return _im_polys(kt) + _values(ybe.cybe_residual(sc, kt))
+    if name == "strongly-symmetric":
+        return ybe.strong_symmetry_equations(k, n)
+    if name == "symmetric":
+        return [k[i][j] - k[j][i] for i in range(n) for j in range(i + 1, n)]
+    if name == "im-one-minus-tau":
+        return _im_polys(kt)
+    if name == "alpha-beta-symmetric":
+        alpha, beta = _family_params(algebra, name, "alpha", "beta")
+        return ybe.ab_symmetric_equations(
+            named_view(kt), const(alpha), const(beta)
         )
-
-
-def _var_tensor(ring: PolyRing, n: int) -> Tensor2:
-    return Tensor2(
-        ring, n,
-        [[ring.var(i * n + j) for j in range(n)] for i in range(n)],
-    )
-
-
-def _im_polys(field, kt: Tensor2):
-    """Membership of Im(1 - tau) as linear relations.
-
-    Characteristic 2: symmetric with zero diagonal; otherwise alternating.
-    """
-    n = kt.dim
-    k = kt.rows
-    out = [k[i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if field.p == 2:
-                out.append(k[i][j] - k[j][i])
-            else:
-                out.append(k[i][j] + k[j][i])
-    return out
-
-
-def _closed_form(algebra, name: str, kt: Tensor2, const) -> list:
-    """Equations of a closed-form selector in the scalars of ``kt``.
-
-    ``kt`` holds field elements on the object route and ring variables on
-    the compiled route; ``const`` lifts a field element to those scalars.
-    """
+    if name == "prop16-case":
+        beta, delta = _family_params(algebra, name, "beta", "delta")
+        case = ybe.bd_case_of(beta, delta)
+        return ybe.bd_case_equations(
+            case, named_view(kt), const(beta), const(delta), const(field.one())
+        )
+    # the paper's closed forms read the named dim-3 coefficients first, so
+    # a tensor of another dimension fails before a missing parameter does
     nc = named_view(kt)
+    if name == "su-family":
+        return bialgebra.su_family_equations(nc)
     if name == "expanded-relations":
-        params = getattr(algebra, "params", None)
-        if getattr(params, "alpha", None) is not None:
+        if getattr(algebra.params, "alpha", None) is not None:
             alpha, beta = _family_params(algebra, name, "alpha", "beta")
             return list(
                 ybe.ab_printed_system(nc, const(alpha), const(beta))
             )
         beta, delta = _family_params(algebra, name, "beta", "delta")
         return list(ybe.bd_printed_system(nc, const(beta), const(delta)))
-    if name == "su-family":
-        return bialgebra.su_family_equations(nc)
     if name == "im-and-alpha-beta-symmetric":
         alpha, beta = _family_params(algebra, name, "alpha", "beta")
-        return _im_polys(algebra.field, kt) + [
+        return _im_polys(kt) + [
             bialgebra.ab_triangular_condition(nc, const(alpha), const(beta))
         ]
     beta, delta = _family_params(algebra, name, "beta", "delta")
@@ -259,68 +268,22 @@ def _closed_form(algebra, name: str, kt: Tensor2, const) -> list:
         "bd-printed-coboundary": bialgebra.bd_coboundary_condition,
         "bd-printed-triangular": bialgebra.bd_triangular_condition,
     }[name]
-    return [
-        condition(nc, const(beta), const(delta), const(algebra.field.one()))
-    ]
+    return [condition(nc, const(beta), const(delta), const(field.one()))]
 
 
 def build_selector_system(algebra, name: str, ring: PolyRing):
-    """Symbolic polynomials whose common zeros are the selector's members."""
+    """Symbolic polynomials whose common zeros are the selector's members:
+    its equations on the tensor of the ring's variables."""
     _check_selector(algebra, name)
     n = algebra.dim
     if ring.nvars != n * n:
         raise InputError(
             f"ring has {ring.nvars} variables, expected {n * n}"
         )
-    kt = _var_tensor(ring, n)
-    if name == "cybe":
-        lifted = _Lifted(algebra, ring)
-        return [v for _, _, _, v in ybe.cybe_residual(lifted, kt).entries()]
-    if name == "qybe":
-        lifted = _Lifted(algebra, ring)
-        lhs, rhs = ybe.qybe_sides(lifted, kt)
-        return [
-            lv - rv
-            for (_, _, _, lv), (_, _, _, rv)
-            in zip(lhs.entries(), rhs.entries())
-        ]
-    if name == "strongly-symmetric":
-        return ybe.strong_symmetry_equations(kt.rows, n)
-    if name == "alpha-beta-symmetric":
-        alpha, beta = _family_params(algebra, name, "alpha", "beta")
-        return ybe.ab_symmetric_equations(
-            named_view(kt), ring.const(alpha), ring.const(beta)
-        )
-    if name == "prop16-case":
-        beta, delta = _family_params(algebra, name, "beta", "delta")
-        case = ybe.bd_case_of(beta, delta)
-        return ybe.bd_case_equations(
-            case, named_view(kt),
-            ring.const(beta), ring.const(delta), ring.one(),
-        )
-    if name == "coboundary":
-        lifted = _Lifted(algebra, ring)
-        out = _im_polys(algebra.field, kt)
-        for defect in bialgebra.cojacobi_defect(lifted, kt):
-            out.extend(v for _, _, _, v in defect.entries())
-        return out
-    if name == "triangular":
-        lifted = _Lifted(algebra, ring)
-        out = _im_polys(algebra.field, kt)
-        out.extend(
-            v for _, _, _, v in ybe.cybe_residual(lifted, kt).entries()
-        )
-        return out
-    if name == "symmetric":
-        k = kt.rows
-        return [
-            k[i][j] - k[j][i] for i in range(n) for j in range(i + 1, n)
-        ]
-    if name == "im-one-minus-tau":
-        return _im_polys(algebra.field, kt)
-    if name in _CLOSED_FORMS:
-        return _closed_form(algebra, name, kt, ring.const)
-    raise AssertionError(name)
+    kt = Tensor2(
+        ring, n, [[ring.var(i * n + j) for j in range(n)] for i in range(n)]
+    )
+    return _equations(algebra, name, kt, ring.const)
 
 
 def compile_selector(algebra, name: str) -> CompiledSystem:
@@ -330,7 +293,13 @@ def compile_selector(algebra, name: str) -> CompiledSystem:
 
 
 def selector_predicate(algebra, name: str):
-    """Object-route membership test for one tensor at a time."""
+    """Object-route membership test for one tensor at a time.
+
+    Nine selectors have a test of their own, written apart from their
+    equations, and the route-agreement tests hold the compiled route to
+    it.  The paper's closed forms evaluate their equations on the tensor's
+    field elements.
+    """
     _check_selector(algebra, name)
     if name == "cybe":
         return lambda r: ybe.is_cybe_solution(algebra, r)
@@ -352,11 +321,9 @@ def selector_predicate(algebra, name: str):
         return lambda r: r.is_symmetric()
     if name == "im-one-minus-tau":
         return im_one_minus_tau_member
-    if name in _CLOSED_FORMS:
-        return lambda r: all(
-            v.is_zero() for v in _closed_form(algebra, name, r, lambda c: c)
-        )
-    raise AssertionError(name)
+    return lambda r: all(
+        v.is_zero() for v in _equations(algebra, name, r, lambda c: c)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +565,9 @@ def _helpers(count: int) -> _Helpers:
     return _HELPERS
 
 
-def _solve(pred_sys, class_sys, total: int, chunk: int, workers: int):
-    """Ascending ``(pred, class)`` solution arrays over all ``total``
-    encodings; ``class`` is None without a classifier system.
+def _solve(sides: dict, total: int, chunk: int, workers: int) -> dict:
+    """Ascending solution arrays over all ``total`` encodings, one for each
+    ``{side: system}`` entry; sides with equal systems share one solve.
 
     A system without polys is the whole space and needs no kernel call.
     A sweep larger than ``chunk`` runs every other system in the variable
@@ -609,44 +576,37 @@ def _solve(pred_sys, class_sys, total: int, chunk: int, workers: int):
     encodings, and the joined ranges are sorted unless the order is
     natural.
     """
-    out = [None, None]
-    systems, sides = [], []
-    for side, system in enumerate((pred_sys, class_sys)):
-        if system is None:
-            continue
-        if not system.polys:
-            out[side] = np.arange(total, dtype=np.uint64)
-            continue
-        systems.append(system)
-        sides.append(side)
-    if not systems:
-        return tuple(out)
-    if total <= chunk:
+    shared: dict = {}  # system -> the sides it serves, in order
+    for side, system in sides.items():
+        shared.setdefault(system, []).append(side)
+    found = {system: np.arange(total, dtype=np.uint64)
+             for system in shared if not system.polys}
+    systems = [system for system in shared if system.polys]
+    if systems and total <= chunk:
         parts = [_solve_block((systems, (0, total), chunk), 0)]
-    else:
-        notes = []
-        for i, side in enumerate(sides):
-            systems[i], natural, greedy = plan(systems[i])
-            notes.append(
-                f"{('predicate', 'classifier')[side]}"
-                f" {systems[i].var_order or 'natural'}, estimated"
-                f" cost natural {natural:.3g} greedy {greedy:.3g}"
-            )
-        _LOG.debug("variable order: %s", "; ".join(notes))
+        runs = systems
+    elif systems:
+        planned = [plan(system) for system in systems]
+        _LOG.debug("variable order: %s", "; ".join(
+            f"{'/'.join(shared[system])} {run.var_order or 'natural'},"
+            f" estimated cost natural {natural:.3g} greedy {greedy:.3g}"
+            for system, (run, natural, greedy) in zip(systems, planned)
+        ))
+        runs = [run for run, _, _ in planned]
         bounds = tuple(total * k // _BLOCKS for k in range(_BLOCKS + 1))
-        task = (systems, bounds, chunk)
+        task = (runs, bounds, chunk)
         workers = min(workers, _BLOCKS)  # a participant without a block idles
         if workers == 1:
             parts = [_solve_block(task, index) for index in range(_BLOCKS)]
         else:
             with _HELPERS_LOCK:
                 parts = _helpers(workers - 1).run(task, workers - 1)
-    for i, side in enumerate(sides):
+    for i, system in enumerate(systems):
         joined = np.concatenate([part[i] for part in parts])
-        if systems[i].var_order is not None:
+        if runs[i].var_order is not None:
             joined.sort()
-        out[side] = joined
-    return tuple(out)
+        found[system] = joined
+    return {side: found[system] for side, system in sides.items()}
 
 
 def _sorted_diff(a: np.ndarray, b: np.ndarray):
@@ -754,27 +714,21 @@ def sweep(spec: SweepSpec) -> SolutionReport:
     def system(name):
         return compile_polys(ring, [*polys(name), *domain])
 
-    pred_sys = system(spec.predicate)
-    class_sys = None
+    sides = {"predicate": system(spec.predicate)}
     if spec.classifier is not None:
-        class_sys = system(spec.classifier)
+        sides["classifier"] = system(spec.classifier)
+    if spec.domain is not None:
+        sides["domain"] = compile_polys(ring, domain)
     workers = resolve_workers(spec.workers)
     t0 = time.perf_counter()
-    pred, cls = _solve(pred_sys, class_sys, space, spec.chunk, workers)
-    total = space
-    if spec.domain is not None:
-        dom_sys = compile_polys(ring, domain)
-        if dom_sys == class_sys:
-            total = int(cls.size)
-        else:
-            total = int(
-                solutions_in_range(dom_sys, 0, space, spec.chunk).size
-            )
+    found = _solve(sides, space, spec.chunk, workers)
+    pred, cls = found["predicate"], found.get("classifier")
+    total = space if spec.domain is None else int(found["domain"].size)
     duration_ms = (time.perf_counter() - t0) * 1000.0
 
     classifier_count = agreement = None
     diff = [(0, pred[:0]), (0, pred[:0])]
-    if class_sys is not None:
+    if cls is not None:
         classifier_count = int(cls.size)
         diff = _sorted_diff(pred, cls)
         agreement = not diff[0][0] and not diff[1][0]

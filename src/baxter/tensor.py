@@ -10,9 +10,9 @@ The flip ``tau`` swaps the two slots of a ``Tensor2``; the 3-cycle ``xi`` on a
 ``a (x) b (x) c`` to ``c (x) a (x) b`` at coefficient level.
 
 Every index sum of the package (Yang-Baxter brackets and sides, adjoint
-actions, the co-Jacobi product, basis changes) is an ``einsum``-style call of
-the sparse contraction ``_contract``, and ``_from_sparse`` makes its result
-dense.  It only adds and multiplies, so it runs on field elements and on
+actions, the co-Jacobi product, basis changes, the Jacobi and associativity
+checks) is an ``einsum``-style call of the sparse contraction ``_contract``,
+and ``_from_sparse`` makes its result dense.  It only adds and multiplies, so it runs on field elements and on
 symbolic polynomials alike.
 """
 from __future__ import annotations

@@ -11,7 +11,10 @@ from baxter import (
     parse_algebra,
 )
 from baxter.errors import (
+    AssociativityFailure,
     InputError,
+    JacobiFailure,
+    NotAlternating,
     ValidationError,
     WrongCharacteristic,
 )
@@ -103,8 +106,10 @@ def test_lie_validation_rejects_non_jacobi(f2):
     sc = StructureConstants(f2, n, tuple(
         tuple(tuple(cell) for cell in row) for row in c
     ))
-    with pytest.raises(ValidationError):
+    with pytest.raises(JacobiFailure) as exc:
         lie_validate(sc)
+    # the smallest failing (i, j, k, m): (e1, e2, e3) on e1
+    assert exc.value.indices == (0, 1, 2, 0)
 
 
 def test_lie_validation_rejects_non_alternating(f2):
@@ -115,8 +120,9 @@ def test_lie_validation_rejects_non_alternating(f2):
     sc = StructureConstants(f2, n, tuple(
         tuple(tuple(cell) for cell in row) for row in c
     ))
-    with pytest.raises(ValidationError):
+    with pytest.raises(NotAlternating) as exc:
         lie_validate(sc)
+    assert exc.value.indices == (0, 1)
 
 
 def test_assoc_validation_rejects_nonassociative(f2):
@@ -131,8 +137,10 @@ def test_assoc_validation_rejects_nonassociative(f2):
     sc = StructureConstants(f2, n, tuple(
         tuple(tuple(cell) for cell in row) for row in c
     ))
-    with pytest.raises(ValidationError):
+    with pytest.raises(AssociativityFailure) as exc:
         assoc_validate(sc)
+    # (e1 e1) e1 = e2 e1 = e2, but e1 (e1 e1) = e1 e2 = e1
+    assert exc.value.indices == (0, 0, 0, 0)
 
 
 ALGEBRA_FILE = """

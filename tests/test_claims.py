@@ -98,6 +98,17 @@ def test_lemma02_invariance_check_catches_a_non_invariant_predicate(
     assert "fails" in note
 
 
+def test_lemma02_checks_the_tensors_the_selector_selects(f2, monkeypatch):
+    from baxter import ybe
+
+    # with no relations the selector admits every tensor, symmetric or not
+    monkeypatch.setattr(ybe, "strong_symmetry_equations", lambda k, n: [])
+    res = claim_check("Lemma0.2", fields=[f2])
+    assert not res.passed
+    assert any("selector selects 512 tensors" in n for n in res.notes)
+    assert any("is not symmetric" in n for n in res.notes)
+
+
 def test_row_without_report_still_fails_and_pins(f2):
     from baxter.claims import ClaimResult, _Row, _dim2_algebras, _run_rows
 

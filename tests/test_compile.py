@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from baxter import (
+    SELECTOR_NAMES,
     SweepSpec,
     Tensor2,
     build_selector_system,
@@ -104,16 +105,19 @@ def test_routes_agree_closed_forms(f2, name, family):
 def test_sweep_domain_counts_and_workers(request, fixture):
     f = request.getfixturevalue(fixture)
     L = make_family_ab(f, f.one(), f.one())
-    canon = []
-    for workers in (1, 2):
-        report = sweep(SweepSpec(
-            algebra=L, predicate="triangular",
-            classifier="im-and-alpha-beta-symmetric",
-            domain="im-one-minus-tau", workers=workers, chunk=1 << 12,
-        ))
-        assert report.total == f.q ** 3
-        canon.append(report.canonical_json())
-    assert canon[0] == canon[1]
+    domain = sweep(SweepSpec(algebra=L, predicate="im-one-minus-tau"))
+    assert domain.predicate_count == f.q ** 3
+    canon = set()
+    for chunk in (64, 1 << 12):
+        for workers in (1, 2, 3):
+            report = sweep(SweepSpec(
+                algebra=L, predicate="triangular",
+                classifier="im-and-alpha-beta-symmetric",
+                domain="im-one-minus-tau", workers=workers, chunk=chunk,
+            ))
+            assert report.total == domain.predicate_count
+            canon.add(report.canonical_json())
+    assert len(canon) == 1
 
 
 def test_routes_agree_qybe_dim2_slice(f2):
@@ -152,6 +156,30 @@ def test_routes_agree_dim2(f2, f4):
             assert _kernel_solutions(L, "cybe") == _object_solutions(
                 L, "cybe"
             )
+
+
+def _strings(value) -> set:
+    """Every string in a nest of tuples, lists and code constants."""
+    if isinstance(value, str):
+        return {value}
+    if isinstance(value, (tuple, list)):
+        return set().union(*map(_strings, value))
+    if hasattr(value, "co_consts"):
+        return _strings(value.co_consts)
+    return set()
+
+
+def test_every_selector_has_a_route_agreement_test():
+    # the selector names each test_routes_agree_* test names, in its
+    # parametrization or its body
+    covered = set()
+    for name, test in globals().items():
+        if name.startswith("test_routes_agree"):
+            covered |= _strings(test.__code__)
+            for mark in getattr(test, "pytestmark", ()):
+                if mark.name == "parametrize":
+                    covered |= _strings(mark.args[1])
+    assert [s for s in SELECTOR_NAMES if s not in covered] == []
 
 
 def test_evaluate_code_matches_kernel(f4):
