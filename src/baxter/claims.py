@@ -34,6 +34,7 @@ from .gf import Field, parse_field
 from .search import (
     DiscrepancyLedger,
     SweepSpec,
+    _sweep_all,
     enumerate_tensors,
     strong_symmetric_enumerate,
     sweep,
@@ -155,20 +156,9 @@ class _Row:
     report: bool = True
 
 
-def _run_row(res: ClaimResult, row: _Row, algebra, workers) -> None:
-    """Sweep one algebra for ``row``: report (unless ``row.report`` is
+def _record(res: ClaimResult, row: _Row, report) -> None:
+    """Record one sweep of ``row``: its report (unless ``row.report`` is
     false), ledger entries and a note."""
-    label = row.label if isinstance(row.label, str) else row.label(algebra)
-    report = sweep(
-        SweepSpec(
-            algebra=algebra,
-            predicate=row.predicate,
-            classifier=row.classifier,
-            domain=row.domain,
-            claim=label,
-            workers=workers,
-        )
-    )
     if row.shown_as is not None:
         report = replace(report, classifier=row.shown_as)
     if row.report:
@@ -182,7 +172,7 @@ def _run_row(res: ClaimResult, row: _Row, algebra, workers) -> None:
         if row.expect != "pinned":
             res.passed = False
     res.notes.append(
-        f"{label}: {report.field} {report.algebra}: {report.predicate}"
+        f"{report.claim}: {report.field} {report.algebra}: {report.predicate}"
         f" {report.predicate_count} vs {report.classifier}"
         f" {report.classifier_count}"
         + (f" of {report.total} in {row.domain}" if row.domain else "")
@@ -191,8 +181,10 @@ def _run_row(res: ClaimResult, row: _Row, algebra, workers) -> None:
 
 
 def _run_rows(res: ClaimResult, rows, fields, workers) -> None:
-    """Run ``rows`` in order; consecutive rows with the same grid and field
-    restriction take turns on each algebra."""
+    """Run ``rows`` and record them in order; consecutive rows with the
+    same grid and field restriction take turns on each algebra.  Every
+    sweep is listed before the first one runs, so the helpers share them."""
+    runs = []
     for (grid, only), group in itertools.groupby(
         rows, key=lambda row: (row.grid, row.field)
     ):
@@ -202,7 +194,19 @@ def _run_rows(res: ClaimResult, rows, fields, workers) -> None:
                 continue
             for L in grid(f):
                 for row in group:
-                    _run_row(res, row, L, workers)
+                    label = (row.label if isinstance(row.label, str)
+                             else row.label(L))
+                    runs.append((row, SweepSpec(
+                        algebra=L,
+                        predicate=row.predicate,
+                        classifier=row.classifier,
+                        domain=row.domain,
+                        claim=label,
+                        workers=workers,
+                    )))
+    reports = _sweep_all([spec for _, spec in runs], workers)
+    for (row, _), report in zip(runs, reports):
+        _record(res, row, report)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +478,9 @@ def claim_check(
 ) -> ClaimResult:
     """Run a registered claim suite over the given fields.
 
-    ``fields`` defaults to the claim's registered field list.  ``workers``
-    is forwarded to the sweeps.
+    ``fields`` defaults to the claim's registered field list.  With
+    ``workers > 1`` the sweeps of the claim's rows are shared with the
+    helper processes; the result is the same for any worker count.
     """
     if claim not in _REGISTRY:
         raise UnknownClaim(claim, CLAIM_IDS)

@@ -147,6 +147,16 @@ class SweepTooLarge(InputError):
         )
 
 
+class HelperExited(BaxterError):
+    """A sweep helper process exited in the middle of a task."""
+
+    def __init__(self, exitcode: int | None):
+        self.exitcode = exitcode
+        super().__init__(
+            f"a sweep helper process exited with code {exitcode}"
+        )
+
+
 class UnknownClaim(InputError):
     def __init__(self, claim: str, known: tuple[str, ...]):
         self.claim = claim

@@ -41,10 +41,12 @@ order.  The chosen orders and their estimated costs go to the ``baxter``
 logger at DEBUG.  With ``workers > 1`` (default from the ``YBE_WORKERS``
 environment variable) the calling process and ``workers - 1`` helper
 processes, started on first use and kept for later sweeps, share the
-ranges; a worker count above the number of ranges is cut to it.  The two
-sides are compared as sorted arrays: the smaller is looked up in the
-larger, and only the first ``COUNTEREXAMPLE_CAP`` disagreements of each
-side are materialised.
+ranges; a worker count above the number of ranges is cut to it.  A list
+of sweeps (a claim's rows) is shared the same way, one whole sweep per
+item, as long as each fits its ``chunk``; a larger one is still cut into
+ranges.  The two sides are compared as sorted arrays: the smaller is
+looked up in the larger, and only the first ``COUNTEREXAMPLE_CAP``
+disagreements of each side are materialised.
 """
 from __future__ import annotations
 
@@ -57,7 +59,8 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
@@ -65,7 +68,7 @@ from . import bialgebra, ybe
 from ._kernel import CompiledSystem, compile_polys, plan, solutions_in_range
 from ._poly import PolyRing
 from .algebra import AssocAlgebra, LieAlgebra, StructureConstants
-from .errors import InputError, SweepTooLarge
+from .errors import HelperExited, InputError, SweepTooLarge
 from .tensor import Tensor2, im_one_minus_tau_member, named_view
 
 __all__ = [
@@ -374,10 +377,10 @@ class SweepSpec:
 # A sweep larger than ``chunk`` is cut into this many equal encoding ranges
 # whatever the worker count, and the ranges' results are joined in order.
 _BLOCKS = 32
-# A helper replies block by block until its replies to a task reach this
-# many bytes, and sends the rest when the task ends.  It stays below the
-# 208 KiB a Linux socket pair buffers by default, so no reply waits on the
-# caller, which reads replies only once it has no block left.
+# A helper replies item by item until its replies to a task reach this many
+# bytes, and sends the rest when the task ends.  It stays below the 208 KiB
+# a Linux socket pair buffers by default, so no reply waits on the caller,
+# which reads replies only once it has no item left.
 _REPLY_BYTES = 1 << 17
 
 
@@ -388,13 +391,26 @@ def _solve_block(task, index: int):
             for system in systems]
 
 
-def _take(counter, sweep: int, nblocks: int) -> int | None:
-    """The next block of sweep number ``sweep``; None once that sweep has
-    none left or a later sweep has reset the counter."""
+# A helper task is either a tuple ``(systems, bounds, chunk)`` whose items
+# are the blocks of one sweep, or a list of one-worker ``SweepSpec``s whose
+# items are whole sweeps, each within one chunk.
+def _item_count(task) -> int:
+    return len(task) if isinstance(task, list) else len(task[1]) - 1
+
+
+def _solve_item(task, index: int):
+    if isinstance(task, list):
+        return sweep(task[index])
+    return _solve_block(task, index)
+
+
+def _take(counter, tag: int, count: int) -> int | None:
+    """The next of the ``count`` items of task number ``tag``; None once
+    that task has none left or a later task has reset the counter."""
     with counter.get_lock():
         value = counter.value
         index = value & 0xFFFFFFFF
-        if value >> 32 != sweep or index >= nblocks:
+        if value >> 32 != tag or index >= count:
             return None
         counter.value = value + 1
     return index
@@ -427,9 +443,9 @@ def _leave_cpu_of(parent: int) -> None:
 
 
 def _helper_main(conn, counter, parent: int) -> None:
-    """Helper process loop: per task, a reply for each block it takes (or
-    one reply with the blocks past ``_REPLY_BYTES`` when the task ends),
-    or a failure reply, until the caller goes away.
+    """Helper process loop: per task, a reply for each item it takes (held
+    back once they pass ``_REPLY_BYTES`` and sent when the task ends), or a
+    failure reply, until the caller goes away.
 
     Ctrl-C reaches the whole process group; the caller handles it and stops
     its helpers, so a helper ignores it instead of printing a traceback.
@@ -440,38 +456,45 @@ def _helper_main(conn, counter, parent: int) -> None:
             if os.getppid() != parent:
                 return
         try:
-            sweep, task = conn.recv()
+            tag, task = conn.recv()
         except EOFError:
             return
         _leave_cpu_of(parent)
-        nblocks = len(task[1]) - 1
-        held, sent = [], 0
+        count = _item_count(task)
+        held, sent, index = [], 0, None
         try:
-            while (index := _take(counter, sweep, nblocks)) is not None:
-                reply = (sweep, index, _solve_block(task, index))
-                sent += sum(part.nbytes for part in reply[2])
+            while (index := _take(counter, tag, count)) is not None:
+                reply = ForkingPickler.dumps(
+                    (tag, index, _solve_item(task, index), None)
+                )
+                sent += len(reply)
                 if sent > _REPLY_BYTES:
                     held.append(reply)
                 else:
-                    conn.send([reply])
-            if held:
-                conn.send(held)
+                    conn.send_bytes(reply)
+            for reply in held:
+                conn.send_bytes(reply)
         except Exception:
-            conn.send([(sweep, None, traceback.format_exc())])
+            conn.send((tag, index, None, traceback.format_exc()))
 
 
 class _Helpers:
     """Worker processes kept alive across sweeps.
 
-    For each sweep the caller hands its task to ``workers - 1`` helpers;
-    they and the caller then take block indices off one shared counter until
-    none is left, so the caller never idles while blocks remain.  Helpers
-    reply block by block.  Once the caller has no block left, it computes
-    a block that is still missing itself whenever no reply comes within
-    twice the time its own blocks took on average, so a helper that the
-    machine stalls holds up the sweep by about two blocks, not by its whole
-    stall.  The counter and every reply carry the sweep's number, so a late
-    helper or a late reply never mixes into a later sweep.  Where the
+    A task is the blocks of one sweep, or a list of whole sweeps that each
+    fit one chunk.  The caller hands it to ``workers - 1`` helpers; they and
+    the caller then take item indices off one shared counter until none is
+    left, so the caller never idles while items remain, and the results
+    come back in index order.  Helpers reply item by item.  Once the caller
+    has no item left, it computes an item that is still missing itself
+    whenever no reply comes within twice the time its own items took on
+    average, so a helper that the machine stalls holds up the task by about
+    two items, not by its whole stall.  The counter and every reply carry
+    the task's number, so a late helper or a late reply never mixes into a
+    later task.  An item that fails in a helper is run again in the caller,
+    so its error is raised with the type it has at one worker; a helper
+    that dies raises :class:`~baxter.errors.HelperExited`.  Either failure
+    stops the helpers, and the next task starts fresh ones.  Where the
     platform can fork, helpers are forked, as the process pool they replace
     was on Linux, so scripts without a ``__main__`` guard keep working;
     baxter starts no threads that a fork could catch holding a lock.
@@ -483,7 +506,7 @@ class _Helpers:
             "fork" if "fork" in methods else None
         )
         self._counter = self._ctx.Value("q", 0)
-        self._sweep = 0
+        self._tag = 0
         self._procs = []
         self._conns = []
 
@@ -501,43 +524,55 @@ class _Helpers:
             self._conns.append(here)
 
     def run(self, task, count: int) -> list:
-        nblocks = len(task[1]) - 1
+        nitems = _item_count(task)
         conns = self._conns[:count]
-        self._sweep += 1
-        sweep = self._sweep
-        results = [None] * nblocks
+        self._tag += 1
+        tag = self._tag
+        results = [None] * nitems
+
+        def recv(conn):
+            try:
+                return conn.recv()
+            except EOFError:  # the helper's end of the pipe closed
+                proc = self._procs[self._conns.index(conn)]
+                proc.join(1.0)
+                raise HelperExited(proc.exitcode) from None
 
         def collect(timeout) -> bool:
             """Store the replies that come within ``timeout``."""
             ready = multiprocessing.connection.wait(conns, timeout)
             for conn in ready:
-                for tag, index, result in conn.recv():
-                    if tag == sweep and index is None:
-                        raise RuntimeError(f"sweep helper failed:\n{result}")
-                    if tag == sweep and results[index] is None:
-                        results[index] = result
+                reply_tag, index, result, failure = recv(conn)
+                if reply_tag != tag:
+                    continue
+                if failure is not None:
+                    if index is not None:  # raise the item's own error
+                        _solve_item(task, index)
+                    raise RuntimeError(f"sweep helper failed:\n{failure}")
+                if results[index] is None:
+                    results[index] = result
             return bool(ready)
 
         try:
             for conn in conns:
-                while conn.poll():  # late replies to an earlier sweep
-                    conn.recv()
+                while conn.poll():  # late replies to an earlier task
+                    recv(conn)
             with self._counter.get_lock():
-                self._counter.value = sweep << 32
+                self._counter.value = tag << 32
             for conn in conns:
-                conn.send((sweep, task))
+                conn.send((tag, task))
             start, mine = time.perf_counter(), 0
-            while (index := _take(self._counter, sweep, nblocks)) is not None:
-                results[index] = _solve_block(task, index)
+            while (index := _take(self._counter, tag, nitems)) is not None:
+                results[index] = _solve_item(task, index)
                 mine += 1
             elapsed = time.perf_counter() - start
             patience = 2 * elapsed / mine if mine else 0.01
             while None in results:
                 if not collect(patience):
                     index = results.index(None)
-                    results[index] = _solve_block(task, index)
+                    results[index] = _solve_item(task, index)
         except BaseException:
-            # stop helpers that may still be busy with this sweep
+            # stop helpers that may still be busy with this task
             self.close()
             raise
         return results
@@ -768,6 +803,29 @@ def sweep(spec: SweepSpec) -> SolutionReport:
             pred[:spec.limit].tolist() if spec.keep_solutions else None
         ),
     )
+
+
+def _sweep_all(specs: list, workers: int | None = None) -> list:
+    """The reports of ``sweep(spec)`` for every spec, in order.
+
+    With more than one worker, the sweeps whose space fits their ``chunk``
+    go to the helpers as one task, one whole sweep at one worker per item;
+    each other sweep then runs here, cut into blocks over the helpers.
+    """
+    workers = resolve_workers(workers)
+    small = [i for i, spec in enumerate(specs)
+             if tensor_count(spec.algebra.field, spec.algebra.dim)
+             <= spec.chunk]
+    reports = [None] * len(specs)
+    if workers > 1 and len(small) > 1:
+        task = [replace(specs[i], workers=1) for i in small]
+        count = min(workers, len(task)) - 1
+        with _HELPERS_LOCK:
+            done = _helpers(count).run(task, count)
+        for i, report in zip(small, done):
+            reports[i] = report
+    return [sweep(spec) if report is None else report
+            for spec, report in zip(specs, reports)]
 
 
 # ---------------------------------------------------------------------------

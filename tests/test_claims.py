@@ -49,6 +49,57 @@ def test_claim_matches_golden(default_runs, cid):
     assert _digest(cid, default_runs[cid]) == GOLDEN[cid]
 
 
+def _without_durations(res) -> dict:
+    d = res.to_dict()
+    for rep in d["reports"]:
+        del rep["duration_ms"]
+    return d
+
+
+@pytest.mark.parametrize("cid", CLAIM_IDS)
+def test_claim_is_identical_across_worker_counts(cid):
+    # reports, notes and ledger, whether the rows' sweeps share helpers
+    want = _without_durations(claim_check(cid, workers=1))
+    assert _without_durations(claim_check(cid, workers=2)) == want
+    if cid == "Thm2.1":
+        assert _without_durations(claim_check(cid, workers=3)) == want
+
+
+def test_claim_ships_helpers_only_sweeps_within_one_chunk(monkeypatch):
+    from baxter import search
+
+    tasks = []
+    real = search._Helpers.run
+
+    def spy(self, task, count):
+        tasks.append(task)
+        return real(self, task, count)
+
+    monkeypatch.setattr(search._Helpers, "run", spy)
+    claim_check("Thm0.3-CYBE", workers=2)
+    whole = [spec for task in tasks if isinstance(task, list)
+             for spec in task]
+    assert whole and all(
+        search.tensor_count(spec.algebra.field, spec.algebra.dim)
+        <= spec.chunk and spec.workers == 1
+        for spec in whole
+    )
+    # the dim-4 commutator_lie(M2) sweep over GF(4) is cut into blocks
+    blocks = [task for task in tasks if isinstance(task, tuple)]
+    assert [bounds[-1] for _, bounds, _ in blocks] == [4 ** 16]
+
+
+def test_claim_at_one_worker_starts_no_helpers(monkeypatch):
+    from baxter import search
+
+    def refuse(count):
+        raise AssertionError("a claim at one worker started helpers")
+
+    monkeypatch.setattr(search, "_helpers", refuse)
+    res = claim_check("Thm0.3-CYBE", workers=1)
+    assert _digest("Thm0.3-CYBE", res) == GOLDEN["Thm0.3-CYBE"]
+
+
 def test_registry_lists_all_claims():
     assert CLAIM_IDS == (
         "Lemma0.2",

@@ -403,6 +403,77 @@ def test_sweep_helper_failure_raises_and_pool_recovers(f4, monkeypatch):
             == sweep(SweepSpec(workers=1, **spec)).canonical_json())
 
 
+def test_sweep_helper_that_dies_raises_and_cli_exits_2(f4, monkeypatch,
+                                                      capsys):
+    import os
+    import time
+
+    from baxter import cli, search
+    from baxter.errors import HelperExited
+
+    search._helpers(0).close()  # helpers forked below inherit the patch
+    caller = os.getpid()
+    real = search._solve_block
+
+    def dying(task, index):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.02)  # leave blocks for the helper to take
+        return real(task, index)
+
+    monkeypatch.setattr(search, "_solve_block", dying)
+    L = make_family_bd(f4, f4.zero(), f4.element(2))
+    spec = dict(algebra=L, predicate="cybe", chunk=1 << 12)
+    with pytest.raises(HelperExited, match="exited with code 3"):
+        sweep(SweepSpec(workers=2, **spec))
+    assert not search._HELPERS._procs  # stopped: the next sweep forks anew
+    assert cli.main([
+        "enumerate", "--field", "gf(2^2;0b111)", "--family", "bd",
+        "--beta", "0x0", "--delta", "0x2", "--predicate", "cybe",
+        "--chunk", "4096", "--workers", "2",
+    ]) == 2
+    assert "exited with code 3" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert (sweep(SweepSpec(workers=2, **spec)).canonical_json()
+            == sweep(SweepSpec(workers=1, **spec)).canonical_json())
+
+
+def test_sweep_failing_in_a_helper_keeps_its_error_type(f2, monkeypatch):
+    # The caller holds the first sweep until the helper has taken the
+    # second, which fails; the caller runs it again and raises its error.
+    import os
+    import time
+
+    from baxter import search
+
+    L = make_dim2(f2, "abelian")
+    specs = [SweepSpec(algebra=L, predicate="cybe"),
+             SweepSpec(algebra=L, predicate="qybe")]  # needs associative
+    with pytest.raises(InputError) as one:
+        search._sweep_all(specs, workers=1)
+    search._helpers(0).close()  # helpers forked below inherit the patch
+    caller = os.getpid()
+    real = search.sweep
+    handed_over = []
+
+    def hold_first(spec):
+        if os.getpid() == caller and spec.predicate == "cybe":
+            deadline = time.monotonic() + 10
+            while (search._HELPERS._counter.value & 0xFFFFFFFF < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            handed_over.append(time.monotonic() < deadline)
+        return real(spec)
+
+    monkeypatch.setattr(search, "sweep", hold_first)
+    with pytest.raises(InputError) as two:
+        search._sweep_all(specs, workers=2)
+    assert handed_over == [True]
+    assert type(two.value) is type(one.value)
+    assert str(two.value) == str(one.value)
+    assert not search._HELPERS._procs
+
+
 def test_sweep_does_not_wait_out_a_stalled_helper(f4, monkeypatch):
     # Every block a helper takes stalls for 5 s; the caller computes those
     # blocks itself once their replies are late.
