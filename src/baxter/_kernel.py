@@ -21,12 +21,17 @@ root ``-c / a``), all ``q`` (every ``a`` and ``c`` zero) or none.  Any
 other level expands every prefix into its ``q`` children and prunes them
 one poly at a time through q-by-q multiplication tables (with the
 coefficient fused into the first pairwise product), XOR or an addition
-table.  Once no polynomial is left, the remaining digits are free and
-whole ranges are emitted.
+table.  Once no polynomial is left, the remaining digits are free: each
+surviving prefix emits its whole subtree in one pass, as its *base* (the
+weighted sum of its assigned digits) plus a table of the free digits'
+encodings, built once per compiled system.  The table covers at most
+``_FREE_TABLE`` codes; free digits beyond it are first assigned to the
+bases, one digit at a time.
 
 Variables are assigned in the system's ``var_order``, natural (the tensor
 encoding's own digit order) by default; the prefixes are then *search
-codes*, and each call maps its survivors back to tensor encodings.
+codes*, and the weights of the bases and the table map each call's
+survivors to tensor encodings.
 :func:`plan` picks the order for a system: the natural order or the
 fail-first greedy order (next the variable that closes the most polys),
 whichever a sampled estimate of the kernel's work favours; greedy must
@@ -57,6 +62,11 @@ _MAX_ORDER = 256  # digit arrays are uint8
 # and _MAX_FACTORS of it still fit.
 _ZERO_LOG = 1 << 12
 _MAX_FACTORS = 15
+# The free digits past a system's last poly are emitted as each surviving
+# prefix's base plus a table of their encodings.  The table covers at most
+# this many codes, whatever ``chunk`` is; free digits that it does not
+# cover are first assigned to the prefixes, without their digit rows.
+_FREE_TABLE = 1 << 12
 
 
 class CompiledSystem(NamedTuple):
@@ -153,7 +163,8 @@ def _tables(system: CompiledSystem) -> dict:
     cached = {"q": q, "p": f.p, "m": f.m, "mul": mul, "add": add,
               "fold": {}, "lo": lo.ravel(), "hi": hi.ravel(), "log": log,
               "exp": exp, "planes": {},
-              "digits": np.arange(q, dtype=np.uint8)}
+              "digits": np.arange(q, dtype=np.uint8),
+              "codes": np.arange(q, dtype=np.uint64)}
     _TABLES[key] = cached
     return cached
 
@@ -254,12 +265,21 @@ def _linear(polys, x: int, tables: dict) -> _Linear | None:
     )
 
 
+class _Compiled(NamedTuple):
+    levels: tuple  # per depth, the _Level of the polys it closes, or None
+    last: int  # the deepest depth that has polys
+    weights: np.ndarray  # per depth, the encoding weight of its variable
+    free: int  # the first depth whose digit ``table`` covers
+    table: np.ndarray  # the encodings of the digits from ``free`` on
+
+
 @functools.lru_cache(maxsize=16)
-def _compile(system: CompiledSystem) -> tuple:
+def _compile(system: CompiledSystem) -> _Compiled:
     """Per depth, the :class:`_Level` of the polys whose last variable that
     depth assigns (None where there are none; depth 0 holds the constant
-    polys), and the deepest depth that has polys.  Cached by the system's
-    value, so a system with other polys or another order compiles anew."""
+    polys), and what emits the free digits past the deepest of them.
+    Cached by the system's value, so a system with other polys or another
+    order compiles anew."""
     n = system.nvars
     order = system.var_order
     if order is not None and sorted(order) != list(range(n)):
@@ -285,7 +305,15 @@ def _compile(system: CompiledSystem) -> tuple:
                 width = max(q, linear.logs.size)
             levels[depth] = _Level(tuple(polys), linear, width)
     last = max((d for d, level in enumerate(levels) if level), default=0)
-    return tuple(levels), last
+    weights = np.array([q ** (n - 1 - v) for v in order or range(n)],
+                       dtype=np.uint64)
+    free = last
+    while q ** (n - free) > _FREE_TABLE:
+        free += 1
+    table = np.zeros(1, dtype=np.uint64)
+    for depth in range(free, n):
+        table = _grow(table, weights[depth], tables["codes"])
+    return _Compiled(tuple(levels), last, weights, free, table)
 
 
 def _prune(polys, tables: dict, char2: bool, codes, digits):
@@ -401,35 +429,35 @@ def _step(level, tables: dict, char2: bool, depth: int, codes, digits):
     return codes, digits, work
 
 
-def _ranges(codes: np.ndarray, width: int, start: int, stop: int):
-    """Every encoding under the given prefixes, clipped to ``[start, stop)``.
+def _grow(values: np.ndarray, weight, row: np.ndarray) -> np.ndarray:
+    """Each of ``values`` plus ``weight`` times each digit of ``row``, in
+    that order."""
+    return np.add.outer(values, weight * row).ravel()
+
+
+def _meeting(codes: np.ndarray, width: int, start: int, stop: int) -> slice:
+    """The ascending prefixes whose subtrees of ``width`` codes meet
+    ``[start, stop)``."""
+    lo, hi = start // width, -(-stop // width)
+    if codes.size and (codes[0] < lo or codes[-1] >= hi):
+        return slice(codes.searchsorted(np.uint64(lo)),
+                     codes.searchsorted(np.uint64(hi)))
+    return slice(None)
+
+
+def _emit(codes: np.ndarray, bases: np.ndarray, table: np.ndarray,
+          start: int, stop: int) -> np.ndarray:
+    """Every encoding under the given prefixes, clipped to ``[start, stop)``:
+    a prefix's subtree is its base plus each entry of ``table``.
 
     The prefixes are ascending and each one's subtree meets the range, so
     only the first and last subtree can be cut.
     """
-    if width == 1:
-        return codes
-    lo = codes * np.uint64(width)
-    hi = lo + np.uint64(width)
-    lo[0] = max(int(lo[0]), start)
-    hi[-1] = min(int(hi[-1]), stop)
-    sizes = hi - lo
-    ends = np.cumsum(sizes)
-    out = np.arange(int(ends[-1]), dtype=np.uint64)
-    out += np.repeat(lo - (ends - sizes), sizes.astype(np.intp))
-    return out
-
-
-def _encodings(codes: np.ndarray, var_order, q: int) -> np.ndarray:
-    """The tensor encodings of search codes, whose digit ``d`` is the
-    value of variable ``var_order[d]``."""
-    n = len(var_order)
-    out = np.zeros_like(codes)
-    for d in reversed(range(n)):
-        codes, digit = np.divmod(codes, np.uint64(q))
-        digit *= np.uint64(q ** (n - 1 - var_order[d]))
-        out += digit
-    return out
+    width = table.size
+    out = np.add.outer(bases, table).ravel()
+    head = max(start - int(codes[0]) * width, 0)
+    tail = max((int(codes[-1]) + 1) * width - stop, 0)
+    return out[head:out.size - tail]
 
 
 def solutions_in_range(
@@ -448,29 +476,29 @@ def solutions_in_range(
     over a frontier of surviving prefixes.  A level whose polys are all
     linear in its variable is solved on the parent prefixes; any other
     level expands every prefix into its ``q`` children and prunes them one
-    poly at a time.  Once no poly is left, the remaining digits are emitted
-    as whole ranges.  A frontier whose next level would hold more than
-    ``chunk`` entries (``q`` children, or one per term of a linear level,
-    per prefix) is halved first and the halves are grown depth first, so
-    peak memory stays ``O(chunk * nvars)`` bytes plus the output, however
-    large the range (a single prefix always expands).
+    poly at a time.  Once no poly is left, each prefix's subtree is emitted
+    as its base plus the table of free encodings.  A frontier whose next
+    level would hold more than ``chunk`` entries (``q`` children, or one
+    per term of a linear level, per prefix) is halved first and the halves
+    are grown depth first, so peak memory stays ``O(chunk * nvars)`` bytes
+    plus the output, however large the range (a single prefix always
+    expands).
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
     order = system.var_order
     if order is not None:
         system = system._replace(var_order=tuple(order))
-    levels, last = _compile(system)
+    levels, last, weights, free, table = _compile(system)
     tables = _tables(system)
     q = tables["q"]
     n = system.nvars
-    if order is not None:
-        weights = np.array([q ** (n - 1 - v) for v in order], dtype=np.uint64)
     start = max(start, 0)
     stop = min(stop, q ** n)
     if start >= stop or levels[0] is not None:
         return np.empty(0, dtype=np.uint64)
     char2 = system.p == 2
+    row = tables["codes"]
     parts = []
     stack = [(0, np.zeros(1, dtype=np.uint64),
               np.empty((0, 1), dtype=np.uint8))]
@@ -487,25 +515,25 @@ def solutions_in_range(
             codes, digits, _ = _step(level, tables, char2, depth,
                                      codes, digits)
             depth += 1
-            width = q ** (n - depth)
-            lo, hi = start // width, -(-stop // width)
-            if codes.size and (codes[0] < lo or codes[-1] >= hi):
-                i = codes.searchsorted(np.uint64(lo))
-                j = codes.searchsorted(np.uint64(hi))
-                codes, digits = codes[i:j], digits[:, i:j]
+            keep = _meeting(codes, q ** (n - depth), start, stop)
+            codes, digits = codes[keep], digits[:, keep]
         if not codes.size:
             continue
-        if depth == n and order is not None:
-            # every digit is assigned: the encodings are a weighted sum
-            parts.append(weights @ digits)
+        # the remaining digits are free: a prefix's encodings are its base,
+        # the weighted sum of its digits, plus those of every free suffix
+        if order is None:  # the search code is the encoding's prefix
+            bases = codes * np.uint64(q ** (n - depth))
         else:
-            parts.append(_ranges(codes, q ** (n - depth), start, stop))
-    if not parts:
-        return np.empty(0, dtype=np.uint64)
-    out = np.concatenate(parts)
-    if order is not None and last < n:
-        out = _encodings(out, order, q)
-    return out
+            bases = np.einsum("d,dp->p", weights[:depth], digits)
+        for d in range(depth, free):
+            codes = _grow(codes * np.uint64(q), 1, row)
+            bases = _grow(bases, weights[d], row)
+            keep = _meeting(codes, q ** (n - d - 1), start, stop)
+            codes, bases = codes[keep], bases[keep]
+        parts.append(_emit(codes, bases, table, start, stop))
+    if len(parts) == 1:  # concatenating one part would copy it
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
 
 
 # -- choosing the variable order ---------------------------------------------
@@ -555,7 +583,8 @@ def _cost(system: CompiledSystem, tables: dict) -> float:
     q = tables["q"]
     char2 = system.p == 2
     rng = random.Random(0)  # a system always gets the same plan
-    levels, last = _compile(system)
+    compiled = _compile(system)
+    levels, last = compiled.levels, compiled.last
     codes = np.zeros(1, dtype=np.uint64)
     digits = np.empty((0, 1), dtype=np.uint8)
     weight = 1.0  # prefixes of the real frontier per sampled prefix

@@ -32,26 +32,29 @@ cross-checked in the test suite:
 Sweeps are deterministic: a compiled system without polys is the whole
 space and is built in the calling process without a kernel call.  A sweep
 larger than its ``chunk`` runs every other compiled system in the variable
-order :func:`baxter._kernel.plan` picks for it, cut into a fixed number of
-equal ranges of that order's search codes whatever the worker count; each
-range returns its survivors as tensor encodings, and the joined ranges are
-sorted once (unless the order is natural, where they already ascend), so
-the report is identical for any worker count, chunk size or variable
-order.  The chosen orders and their estimated costs go to the ``baxter``
-logger at DEBUG.  With ``workers > 1`` (default from the ``YBE_WORKERS``
-environment variable) the calling process and ``workers - 1`` helper
-processes, started on first use and kept for later sweeps, share the
-ranges; a worker count above the number of ranges is cut to it.  A list
-of sweeps (a claim's rows) is shared the same way, one whole sweep per
-item, as long as each fits its ``chunk``; a larger one is still cut into
-ranges.  The two sides are compared as sorted arrays: the smaller is
-looked up in the larger, and only the first ``COUNTEREXAMPLE_CAP``
-disagreements of each side are materialised.
+order :func:`baxter._kernel.plan` picks for it, cut into equal ranges of
+that order's search codes, one per ``_BLOCK_WORK`` units of the plan's
+summed work estimate and at most ``_BLOCKS``, whatever the worker count;
+each range returns its survivors as tensor encodings, and the joined
+ranges are sorted once (unless the order is natural, where they already
+ascend), so the report is identical for any worker count, chunk size or
+variable order.  The chosen orders, their estimated costs and the block
+count go to the ``baxter`` logger at DEBUG.  With ``workers > 1``
+(default from the ``YBE_WORKERS`` environment variable) the calling
+process and ``workers - 1`` helper processes, started on first use and
+kept for later sweeps, share the ranges; a worker count above the number
+of ranges is cut to it, so a sweep of one range runs in the calling
+process.  A list of sweeps (a claim's rows) is shared the same way, one
+whole sweep per item, as long as each fits its ``chunk``; a larger one is
+still cut into ranges.  The two sides are compared as sorted arrays: the
+smaller is looked up in the larger, and only the first
+``COUNTEREXAMPLE_CAP`` disagreements of each side are materialised.
 """
 from __future__ import annotations
 
 import json
 import logging
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -374,9 +377,18 @@ class SweepSpec:
     limit: int | None = None
 
 
-# A sweep larger than ``chunk`` is cut into this many equal encoding ranges
-# whatever the worker count, and the ranges' results are joined in order.
+# A sweep larger than ``chunk`` is cut into one equal range of search codes
+# per ``_BLOCK_WORK`` units of :func:`plan`'s estimate for its systems, at
+# most ``_BLOCKS``, whatever the worker count; the ranges' results are
+# joined in order.  Measured on a 2-vCPU Xeon VM, medians of 7: a kernel
+# call costs 0.2-0.4 ms however small its range (the GF(5) dim-3
+# strongly-symmetric system, 3.9e4 units, takes 0.6 ms in one call and
+# 8 ms in 32), and 1e6 units take 3-6 ms (one whole-space call: GF(8)
+# ab(1,1) CYBE 4.2e6 units in 15 ms, GF(16) 1.3e8 in 370 ms, GF(8) bd(0,1)
+# CYBE 2.4e7 in 131 ms), so a block's fixed cost stays below about a tenth
+# of its work.
 _BLOCKS = 32
+_BLOCK_WORK = 1e6
 # A helper replies item by item until its replies to a task reach this many
 # bytes, and sends the rest when the task ends.  It stays below the 208 KiB
 # a Linux socket pair buffers by default, so no reply waits on the caller,
@@ -606,10 +618,12 @@ def _solve(sides: dict, total: int, chunk: int, workers: int) -> dict:
 
     A system without polys is the whole space and needs no kernel call.
     A sweep larger than ``chunk`` runs every other system in the variable
-    order :func:`baxter._kernel.plan` picks for it, cut into ``_BLOCKS``
-    ranges of that system's search codes; each range comes back as
-    encodings, and the joined ranges are sorted unless the order is
-    natural.
+    order :func:`baxter._kernel.plan` picks for it, cut into
+    ``min(_BLOCKS, ceil(W / _BLOCK_WORK))`` equal ranges of search codes,
+    where ``W`` sums each system's estimate for its chosen order; each
+    range comes back as encodings, and the joined ranges are sorted unless
+    the order is natural.  A single range is one kernel call per system,
+    and its array is used as it is.
     """
     shared: dict = {}  # system -> the sides it serves, in order
     for side, system in sides.items():
@@ -622,22 +636,29 @@ def _solve(sides: dict, total: int, chunk: int, workers: int) -> dict:
         runs = systems
     elif systems:
         planned = [plan(system) for system in systems]
-        _LOG.debug("variable order: %s", "; ".join(
-            f"{'/'.join(shared[system])} {run.var_order or 'natural'},"
-            f" estimated cost natural {natural:.3g} greedy {greedy:.3g}"
-            for system, (run, natural, greedy) in zip(systems, planned)
-        ))
         runs = [run for run, _, _ in planned]
-        bounds = tuple(total * k // _BLOCKS for k in range(_BLOCKS + 1))
+        work = sum(natural if run.var_order is None else greedy
+                   for run, natural, greedy in planned)
+        blocks = min(_BLOCKS, max(1, math.ceil(work / _BLOCK_WORK)))
+        _LOG.debug("variable order: %s; estimated work %.3g in %d blocks",
+                   "; ".join(
+                       f"{'/'.join(shared[system])}"
+                       f" {run.var_order or 'natural'}, estimated cost"
+                       f" natural {natural:.3g} greedy {greedy:.3g}"
+                       for system, (run, natural, greedy)
+                       in zip(systems, planned)
+                   ), work, blocks)
+        bounds = tuple(total * k // blocks for k in range(blocks + 1))
         task = (runs, bounds, chunk)
-        workers = min(workers, _BLOCKS)  # a participant without a block idles
+        workers = min(workers, blocks)  # a participant without a block idles
         if workers == 1:
-            parts = [_solve_block(task, index) for index in range(_BLOCKS)]
+            parts = [_solve_block(task, index) for index in range(blocks)]
         else:
             with _HELPERS_LOCK:
                 parts = _helpers(workers - 1).run(task, workers - 1)
     for i, system in enumerate(systems):
-        joined = np.concatenate([part[i] for part in parts])
+        pieces = [part[i] for part in parts]
+        joined = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         if runs[i].var_order is not None:
             joined.sort()
         found[system] = joined

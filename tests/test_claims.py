@@ -66,17 +66,28 @@ def test_claim_is_identical_across_worker_counts(cid):
 
 
 def test_claim_ships_helpers_only_sweeps_within_one_chunk(monkeypatch):
+    import os
+
     from baxter import search
 
-    tasks = []
-    real = search._Helpers.run
+    tasks, blocks = [], []
+    real_run, real_block = search._Helpers.run, search._solve_block
+    caller = os.getpid()
 
-    def spy(self, task, count):
+    def spy_run(self, task, count):
         tasks.append(task)
-        return real(self, task, count)
+        return real_run(self, task, count)
 
-    monkeypatch.setattr(search._Helpers, "run", spy)
+    def spy_block(task, index):
+        if os.getpid() == caller:
+            blocks.append(task[1][index:index + 2])
+        return real_block(task, index)
+
+    search._helpers(0).close()  # helpers forked below inherit the spies
+    monkeypatch.setattr(search._Helpers, "run", spy_run)
+    monkeypatch.setattr(search, "_solve_block", spy_block)
     claim_check("Thm0.3-CYBE", workers=2)
+    search._helpers(0).close()
     whole = [spec for task in tasks if isinstance(task, list)
              for spec in task]
     assert whole and all(
@@ -84,9 +95,10 @@ def test_claim_ships_helpers_only_sweeps_within_one_chunk(monkeypatch):
         <= spec.chunk and spec.workers == 1
         for spec in whole
     )
-    # the dim-4 commutator_lie(M2) sweep over GF(4) is cut into blocks
-    blocks = [task for task in tasks if isinstance(task, tuple)]
-    assert [bounds[-1] for _, bounds, _ in blocks] == [4 ** 16]
+    # the dim-4 commutator_lie(M2) sweep over GF(4) is larger than its
+    # chunk, but its estimated work makes one block, run in the caller
+    assert not [task for task in tasks if isinstance(task, tuple)]
+    assert [b for b in blocks if b[1] > 1 << 20] == [(0, 4 ** 16)]
 
 
 def test_claim_at_one_worker_starts_no_helpers(monkeypatch):

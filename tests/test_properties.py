@@ -15,19 +15,22 @@ import itertools
 import json
 
 import numpy as np
+import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from baxter import (
     BasisChange, SweepSpec, Tensor2, Tensor3, adjoint_act2, adjoint_act3,
     bracket_12_13, bracket_12_23, bracket_13_23, cojacobi_defect,
-    compile_selector, cybe_residual, field, parse_algebra, qybe_sides,
-    selector_predicate, sweep,
+    compile_selector, cybe_residual, field, make_family_bd, parse_algebra,
+    qybe_sides, selector_predicate, sweep,
 )
 from baxter.algebra import (
     LieAlgebra, StructureConstants, assoc_validate, lie_validate,
 )
-from baxter._kernel import evaluate_code, solutions_in_range
+from baxter._kernel import (
+    _compile, _greedy_order, evaluate_code, solutions_in_range,
+)
 
 # (p, m, modulus) for q in {2, 3, 4, 5, 7, 8, 9}
 FIELDS = (
@@ -151,6 +154,72 @@ def test_kernel_matches_reference_evaluator(data):
         for code in [codes[i] for i in probes if codes] + got[:1] + got[-1:]:
             r = Tensor2.decode(algebra.field, algebra.dim, code)
             assert member(r) == (code in kept), (name, code)
+
+
+# Greedy-order systems whose digits past the last poly are free, on both
+# sides of the table bound: (beta, delta, selector, last poly's depth, depth
+# from which the offset table covers the digits).  GF(4) bd(0,1)'s case
+# polys close at depth 4, so the table holds all 4**5 free encodings;
+# bd(0,0)'s printed coboundary condition closes at depth 2, and the 4**7
+# free encodings exceed the table, so digit 3 is assigned first.
+FREE_CASES = (
+    (0, 1, "prop16-case", 4, 4),
+    (0, 0, "bd-printed-coboundary", 2, 3),
+)
+
+
+@pytest.mark.parametrize("beta, delta, name, last, free", FREE_CASES)
+@pytest.mark.parametrize("chunk", (7, 1 << 20))
+def test_free_subtrees_match_reference_evaluator(beta, delta, name, last,
+                                                 free, chunk):
+    f = field(2, 2, 0b111)
+    system = compile_selector(
+        make_family_bd(f, f.element(beta), f.element(delta)), name)
+    system = system._replace(var_order=_greedy_order(system))
+    compiled = _compile(system)
+    assert (compiled.last, compiled.free) == (last, free)
+    width = 4 ** (9 - last)  # the codes under one prefix at depth ``last``
+    # the prefix of the first solution's search code
+    prefix = next(c for c in range(4 ** 9)
+                  if evaluate_code(system, _encoding(c, system.var_order, 4)))
+    prefix //= width
+    # inside one free subtree, cut at both ends; then two whole subtrees
+    # and a part of each neighbour
+    for start, stop in ((prefix * width + width // 3,
+                         prefix * width + 2 * width // 3),
+                        (max(0, (prefix - 1) * width + width // 2),
+                         (prefix + 2) * width + width // 2)):
+        got = solutions_in_range(system, start, stop, chunk).tolist()
+        codes = [_encoding(c, system.var_order, 4) for c in range(start, stop)]
+        assert got == [e for e in codes if evaluate_code(system, e)]
+        assert got
+
+
+def test_free_digits_past_the_table_grow_only_inside_the_range():
+    # Over GF(8), bd(0,0)'s printed coboundary condition closes at depth 2
+    # of the greedy order: a prefix there has 8**7 free codes, and the
+    # table covers 8**4.  A range of 100 codes inside one such subtree
+    # emits one table's worth, not the 16 MB of the whole subtree.
+    import tracemalloc
+
+    f = field(2, 3, 0b1011)
+    system = compile_selector(make_family_bd(f, f.zero(), f.zero()),
+                              "bd-printed-coboundary")
+    system = system._replace(var_order=_greedy_order(system))
+    compiled = _compile(system)
+    assert (compiled.last, compiled.free) == (2, 5)
+    start, stop = 3 * 8 ** 6 + 12345, 3 * 8 ** 6 + 12445
+    solutions_in_range(system, start, stop)  # compile and cache first
+    tracemalloc.start()
+    try:
+        got = solutions_in_range(system, start, stop).tolist()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 ** 5
+    codes = [_encoding(c, system.var_order, 8) for c in range(start, stop)]
+    assert got == [e for e in codes if evaluate_code(system, e)]
+    assert got
 
 
 @settings(_settings, max_examples=30)

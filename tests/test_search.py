@@ -355,6 +355,28 @@ def test_sweep_more_workers_than_cores(f4):
     assert time.perf_counter() - t0 < 60
 
 
+def _pin_blocks(monkeypatch, blocks=32) -> list:
+    """Cut every planned sweep into ``blocks`` ranges whatever its estimated
+    work; returns the list of tasks that then reach ``_Helpers.run``."""
+    from baxter import search
+
+    tasks = []
+    real = search._Helpers.run
+
+    def spy(self, task, count):
+        tasks.append(task)
+        return real(self, task, count)
+
+    monkeypatch.setattr(search, "_BLOCKS", blocks)
+    monkeypatch.setattr(search, "_BLOCK_WORK", 1)
+    monkeypatch.setattr(search._Helpers, "run", spy)
+    return tasks
+
+
+def _block_tasks(tasks) -> list:
+    return [task for task in tasks if isinstance(task, tuple)]
+
+
 def test_sweep_forks_no_more_helpers_than_blocks(f4, monkeypatch):
     # With 4 ranges, a 6-worker sweep has work for the caller and 3 helpers.
     from baxter import search
@@ -366,13 +388,14 @@ def test_sweep_forks_no_more_helpers_than_blocks(f4, monkeypatch):
         asked.append(count)
         return real(count)
 
-    monkeypatch.setattr(search, "_BLOCKS", 4)
+    tasks = _pin_blocks(monkeypatch, blocks=4)
     monkeypatch.setattr(search, "_helpers", spy)
     L = make_family_bd(f4, f4.zero(), f4.element(2))
     spec = dict(algebra=L, predicate="cybe", classifier="prop16-case",
                 chunk=1 << 12, keep_solutions=True)
     got = sweep(SweepSpec(workers=6, **spec)).canonical_json()
     assert asked and max(asked) <= 3
+    assert [len(bounds) - 1 for _, bounds, _ in _block_tasks(tasks)] == [4]
     assert got == sweep(SweepSpec(workers=1, **spec)).canonical_json()
 
 
@@ -392,15 +415,19 @@ def test_sweep_helper_failure_raises_and_pool_recovers(f4, monkeypatch):
         time.sleep(0.02)  # leave blocks for the helper to take
         return real(task, index)
 
-    monkeypatch.setattr(search, "_solve_block", broken)
+    tasks = _pin_blocks(monkeypatch)
     L = make_family_bd(f4, f4.zero(), f4.element(2))
     spec = dict(algebra=L, predicate="cybe", chunk=1 << 12)
-    with pytest.raises(RuntimeError, match="block failed in a helper"):
-        sweep(SweepSpec(workers=2, **spec))
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_solve_block", broken)
+        with pytest.raises(RuntimeError, match="block failed in a helper"):
+            sweep(SweepSpec(workers=2, **spec))
+    assert len(_block_tasks(tasks)) == 1
     assert not search._HELPERS._procs  # stopped: stale replies cannot leak
-    monkeypatch.undo()  # the next sweep forks unpatched helpers
+    # the next sweep forks unpatched helpers
     assert (sweep(SweepSpec(workers=2, **spec)).canonical_json()
             == sweep(SweepSpec(workers=1, **spec)).canonical_json())
+    assert len(_block_tasks(tasks)) == 2
 
 
 def test_sweep_helper_that_dies_raises_and_cli_exits_2(f4, monkeypatch,
@@ -421,21 +448,24 @@ def test_sweep_helper_that_dies_raises_and_cli_exits_2(f4, monkeypatch,
         time.sleep(0.02)  # leave blocks for the helper to take
         return real(task, index)
 
-    monkeypatch.setattr(search, "_solve_block", dying)
+    tasks = _pin_blocks(monkeypatch)
     L = make_family_bd(f4, f4.zero(), f4.element(2))
     spec = dict(algebra=L, predicate="cybe", chunk=1 << 12)
-    with pytest.raises(HelperExited, match="exited with code 3"):
-        sweep(SweepSpec(workers=2, **spec))
-    assert not search._HELPERS._procs  # stopped: the next sweep forks anew
-    assert cli.main([
-        "enumerate", "--field", "gf(2^2;0b111)", "--family", "bd",
-        "--beta", "0x0", "--delta", "0x2", "--predicate", "cybe",
-        "--chunk", "4096", "--workers", "2",
-    ]) == 2
-    assert "exited with code 3" in capsys.readouterr().err
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_solve_block", dying)
+        with pytest.raises(HelperExited, match="exited with code 3"):
+            sweep(SweepSpec(workers=2, **spec))
+        assert not search._HELPERS._procs  # stopped: the next sweep forks anew
+        assert cli.main([
+            "enumerate", "--field", "gf(2^2;0b111)", "--family", "bd",
+            "--beta", "0x0", "--delta", "0x2", "--predicate", "cybe",
+            "--chunk", "4096", "--workers", "2",
+        ]) == 2
+        assert "exited with code 3" in capsys.readouterr().err
+    assert len(_block_tasks(tasks)) == 2
     assert (sweep(SweepSpec(workers=2, **spec)).canonical_json()
             == sweep(SweepSpec(workers=1, **spec)).canonical_json())
+    assert len(_block_tasks(tasks)) == 3
 
 
 def test_sweep_failing_in_a_helper_keeps_its_error_type(f2, monkeypatch):
@@ -492,6 +522,7 @@ def test_sweep_does_not_wait_out_a_stalled_helper(f4, monkeypatch):
         return real(task, index)
 
     monkeypatch.setattr(search, "_solve_block", stalling)
+    tasks = _pin_blocks(monkeypatch)
     L = make_family_bd(f4, f4.zero(), f4.element(2))
     spec = dict(algebra=L, predicate="cybe", classifier="prop16-case",
                 chunk=1 << 12, keep_solutions=True)
@@ -501,10 +532,17 @@ def test_sweep_does_not_wait_out_a_stalled_helper(f4, monkeypatch):
         assert time.perf_counter() - t0 < 2.5
     finally:
         search._helpers(0).close()  # the stalled helper still sleeps
+    assert len(_block_tasks(tasks)) == 1
     assert got == sweep(SweepSpec(workers=1, **spec)).canonical_json()
 
 
 def test_planned_sweep_logs_its_variable_order(f4, caplog):
+    import math
+    import re
+
+    from baxter import search
+    from baxter._kernel import plan
+
     L = make_family_bd(f4, f4.zero(), f4.element(2))
     spec = dict(algebra=L, predicate="cybe", classifier="prop16-case",
                 keep_solutions=True)
@@ -515,6 +553,65 @@ def test_planned_sweep_logs_its_variable_order(f4, caplog):
     assert len(lines) == 1  # only the sweep cut into ranges is planned
     assert lines[0].startswith("variable order: predicate ")
     assert "; classifier " in lines[0] and "greedy" in lines[0]
+    # the summed estimate of the chosen orders, and the blocks it makes
+    work = 0.0
+    for name in ("cybe", "prop16-case"):
+        run, natural, greedy = plan(compile_selector(L, name))
+        work += natural if run.var_order is None else greedy
+    found = re.search(r"; estimated work (\S+) in (\d+) blocks$", lines[0])
+    assert found and float(found[1]) == pytest.approx(work, rel=1e-2)
+    assert int(found[2]) == min(search._BLOCKS,
+                                math.ceil(work / search._BLOCK_WORK)) == 1
     assert planned.canonical_json() == one_chunk.canonical_json()
     assert "order" not in planned.canonical_json()
+    assert "blocks" not in planned.canonical_json()
 
+
+def test_sweep_cut_into_blocks_by_its_estimated_work(monkeypatch):
+    # Every tensor solves CYBE for the abelian dim-3 algebra over GF(5), so
+    # the only system with polys is the classifier's; its 5**9 codes exceed
+    # the chunk, but its estimated work is below one block's.
+    import os
+
+    from baxter import field, parse_algebra, search
+
+    L = parse_algebra("field gf(5)\ndim 3\n")
+    spec = dict(algebra=L, predicate="cybe", classifier="strongly-symmetric",
+                keep_solutions=True, limit=16)
+    assert tensor_count(field(5), 3) > SweepSpec(algebra=L,
+                                                 predicate="cybe").chunk
+    caller = os.getpid()
+    calls = []
+    real = search.solutions_in_range
+
+    def counting(system, start, stop, chunk):
+        if os.getpid() == caller:
+            calls.append((system, start, stop))
+        return real(system, start, stop, chunk)
+
+    def refuse(count):
+        raise AssertionError("a one-block sweep started helpers")
+
+    monkeypatch.setattr(search, "solutions_in_range", counting)
+    canon = set()
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_helpers", refuse)
+        for workers in (1, 2):
+            calls.clear()
+            canon.add(sweep(SweepSpec(workers=workers, **spec))
+                      .canonical_json())
+            assert len(calls) == 1
+            assert calls[0][1:] == (0, 5 ** 9)
+    # with the work per block patched down, the same sweep takes _BLOCKS
+    tasks = _pin_blocks(monkeypatch)
+    calls.clear()
+    canon.add(sweep(SweepSpec(workers=1, **spec)).canonical_json())
+    assert len(calls) == search._BLOCKS
+    assert [stop for _, _, stop in calls][-1] == 5 ** 9
+    canon.add(sweep(SweepSpec(workers=2, **spec)).canonical_json())
+    assert [len(bounds) - 1 for _, bounds, _ in _block_tasks(tasks)] == [
+        search._BLOCKS]
+    assert len(canon) == 1
+    report = json.loads(canon.pop())
+    assert report["predicate_count"] == 5 ** 9
+    assert report["classifier_count"] == 125
