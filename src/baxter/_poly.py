@@ -40,7 +40,11 @@ class PolyRing:
         return Poly(self, {(i,): 1})
 
     def const(self, value) -> "Poly":
-        """Embed a field element (or raw encoding) as a constant."""
+        """Embed a field element (or raw encoding) as a constant; a
+        polynomial of this ring, such as a family parameter's variable,
+        is returned as it is."""
+        if isinstance(value, Poly) and value.ring is self:
+            return value
         enc = value.value if isinstance(value, FieldElement) else int(value)
         if enc == 0:
             return self._zero

@@ -12,7 +12,9 @@ Built-in families (characteristic 2, dimension 3):
 
 plus the two dimension-2 Lie algebras (abelian; nonabelian ``[e1,e2] = e1``),
 the full matrix-unit associative algebras, and the commutator Lie algebra of
-any associative algebra.
+any associative algebra.  Each family's bracket terms are written once, over
+any scalars: field elements for one member, or the variables of a polynomial
+ring for a :class:`Family`, which a sweep covers in one pass.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ __all__ = [
     "LieAlgebra",
     "AssocAlgebra",
     "FamilyParams",
+    "Family",
     "lie_validate",
     "assoc_validate",
     "make_family_ab",
@@ -206,46 +209,95 @@ def _require_char2(field) -> None:
         )
 
 
+def _ab_terms(one, alpha, beta) -> dict:
+    """``[e1,e2]=e3, [e2,e3]=alpha e1, [e3,e1]=beta e2`` over any scalars."""
+    return {
+        (0, 1): {2: one},
+        (1, 0): {2: -one},
+        (1, 2): {0: alpha},
+        (2, 1): {0: -alpha},
+        (2, 0): {1: beta},
+        (0, 2): {1: -beta},
+    }
+
+
+def _bd_terms(one, beta, delta) -> dict:
+    """``[e1,e2]=0, [e1,e3]=e1+beta e2, [e2,e3]=delta e2`` over any
+    scalars."""
+    return {
+        (0, 2): {0: one, 1: beta},
+        (2, 0): {0: -one, 1: -beta},
+        (1, 2): {1: delta},
+        (2, 1): {1: -delta},
+    }
+
+
+# each family's parameter names and its bracket terms
+_FAMILIES = {
+    "ab": (("alpha", "beta"), _ab_terms),
+    "bd": (("beta", "delta"), _bd_terms),
+}
+
+
+def _family_member(kind: str, field, x, y):
+    """The constants, label and parameters of the member ``kind(x, y)``,
+    not yet validated."""
+    (first, second), terms = _FAMILIES[kind]
+    _require_char2(field)
+    _check_params(field, x, y)
+    sc = StructureConstants.from_terms(field, 3, terms(field.one(), x, y))
+    label = f"{kind}({first}={x.literal()},{second}={y.literal()})"
+    return sc, label, FamilyParams(**{first: x, second: y})
+
+
 def make_family_ab(field: Field, alpha: FieldElement,
                    beta: FieldElement) -> LieAlgebra:
     """Dim-3 family ``[e1,e2]=e3, [e2,e3]=alpha e1, [e3,e1]=beta e2``."""
-    _require_char2(field)
-    _check_params(field, alpha, beta)
-    one = field.one()
-    sc = StructureConstants.from_terms(
-        field, 3,
-        {
-            (0, 1): {2: one},
-            (1, 0): {2: -one},
-            (1, 2): {0: alpha},
-            (2, 1): {0: -alpha},
-            (2, 0): {1: beta},
-            (0, 2): {1: -beta},
-        },
-    )
-    label = f"ab(alpha={alpha.literal()},beta={beta.literal()})"
-    return lie_validate(sc, label=label,
-                        params=FamilyParams(alpha=alpha, beta=beta))
+    sc, label, params = _family_member("ab", field, alpha, beta)
+    return lie_validate(sc, label=label, params=params)
 
 
 def make_family_bd(field: Field, beta: FieldElement,
                    delta: FieldElement) -> LieAlgebra:
     """Dim-3 family ``[e1,e2]=0, [e1,e3]=e1+beta e2, [e2,e3]=delta e2``."""
-    _require_char2(field)
-    _check_params(field, beta, delta)
-    one = field.one()
-    sc = StructureConstants.from_terms(
-        field, 3,
-        {
-            (0, 2): {0: one, 1: beta},
-            (2, 0): {0: -one, 1: -beta},
-            (1, 2): {1: delta},
-            (2, 1): {1: -delta},
-        },
-    )
-    label = f"bd(beta={beta.literal()},delta={delta.literal()})"
-    return lie_validate(sc, label=label,
-                        params=FamilyParams(beta=beta, delta=delta))
+    sc, label, params = _family_member("bd", field, beta, delta)
+    return lie_validate(sc, label=label, params=params)
+
+
+@dataclass(frozen=True)
+class Family:
+    """Every member of the ``ab`` or ``bd`` family over ``field``, to be
+    swept at once.
+
+    :meth:`members` are the algebras :func:`make_family_ab` /
+    :func:`make_family_bd` build, in ascending order of the two parameters
+    (the first one major); :meth:`symbolic` is the family as one Lie
+    algebra over a polynomial ring whose variables 0 and 1 are the
+    parameters, so a selector's equations replayed on it hold for exactly
+    the (parameters, tensor) pairs of members and their solutions.
+    """
+
+    kind: str
+    field: Field
+    dim = 3
+
+    def members(self) -> list[LieAlgebra]:
+        """The members in parameter order, not validated one by one: the
+        bracket terms satisfy Jacobi as an identity in the parameters,
+        which :meth:`symbolic` checks, so every member does."""
+        elements = self.field.elements()
+        return [LieAlgebra(*_family_member(self.kind, self.field, x, y))
+                for x in elements for y in elements]
+
+    def symbolic(self, ring) -> LieAlgebra:
+        """The family over ``ring`` (a :class:`~baxter._poly.PolyRing` over
+        :attr:`field`), with ring variables 0 and 1 as the parameters."""
+        _require_char2(self.field)
+        (first, second), terms = _FAMILIES[self.kind]
+        x, y = ring.var(0), ring.var(1)
+        sc = StructureConstants.from_terms(ring, 3, terms(ring.one(), x, y))
+        return lie_validate(sc, label=f"{self.kind}({first},{second})",
+                            params=FamilyParams(**{first: x, second: y}))
 
 
 def make_dim2(field: Field, kind: str) -> LieAlgebra:

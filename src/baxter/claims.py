@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import bialgebra, ybe
 from .algebra import (
+    Family,
     StructureConstants,
     commutator_lie,
     lie_validate,
@@ -77,16 +78,17 @@ class ClaimResult:
 # algebra grids
 
 
-def _pairs(f: Field):
-    return itertools.product(f.elements(), repeat=2)
+# A grid item is an algebra or a whole family, swept in one pass over all
+# of its members.  A grid that is not every parameter pair, or whose rows
+# branch on the parameter values (``prop16-case``), lists its members.
 
 
 def _ab_family(f: Field):
-    return [make_family_ab(f, a, b) for a, b in _pairs(f)]
+    return [Family("ab", f)]
 
 
 def _bd_family(f: Field):
-    return [make_family_bd(f, b, d) for b, d in _pairs(f)]
+    return [Family("bd", f)]
 
 
 def _bd_covered(f: Field):
@@ -132,17 +134,19 @@ def _prop16_label(L) -> str:
 
 @dataclass(frozen=True)
 class _Row:
-    """One sweep per algebra of ``grid``: the ``predicate`` oracle against
-    the ``classifier`` closed form, both within ``domain`` if given.
+    """One sweep per item of ``grid``, an algebra or a whole family: the
+    ``predicate`` oracle against the ``classifier`` closed form, both within
+    ``domain`` if given, reported per algebra (a family's members in
+    parameter order).
 
     ``expect`` says what a disagreement means.  ``"equal"`` and
     ``"subset"`` (classifier set inside the predicate set) fail the claim
     and pin the counterexamples; ``"pinned"`` only pins them, for a stated
     link known to be false.  ``field`` restricts the row to that field;
     ``shown_as`` renames the classifier in the report; ``label`` may be a
-    function of the algebra.  With ``report=False`` the row still pins,
-    fails and notes as above but adds no report to the claim's list, for
-    claims whose published output has none.
+    function of the algebra, on a grid of algebras.  With ``report=False``
+    the row still pins, fails and notes as above but adds no report to the
+    claim's list, for claims whose published output has none.
     """
 
     label: str | Callable
@@ -182,9 +186,10 @@ def _record(res: ClaimResult, row: _Row, report) -> None:
 
 def _run_rows(res: ClaimResult, rows, fields, workers) -> None:
     """Run ``rows`` and record them in order; consecutive rows with the
-    same grid and field restriction take turns on each algebra.  Every
-    sweep is listed before the first one runs, so the helpers share them."""
-    runs = []
+    same grid and field restriction take turns on each algebra, and on each
+    member of a family, which every row sweeps in one pass.  Every sweep is
+    listed before the first one runs, so the helpers share them."""
+    groups, specs = [], []
     for (grid, only), group in itertools.groupby(
         rows, key=lambda row: (row.grid, row.field)
     ):
@@ -193,20 +198,22 @@ def _run_rows(res: ClaimResult, rows, fields, workers) -> None:
             if only is not None and f.literal() != only:
                 continue
             for L in grid(f):
-                for row in group:
-                    label = (row.label if isinstance(row.label, str)
-                             else row.label(L))
-                    runs.append((row, SweepSpec(
-                        algebra=L,
-                        predicate=row.predicate,
-                        classifier=row.classifier,
-                        domain=row.domain,
-                        claim=label,
-                        workers=workers,
-                    )))
-    reports = _sweep_all([spec for _, spec in runs], workers)
-    for (row, _), report in zip(runs, reports):
-        _record(res, row, report)
+                groups.append(group)
+                specs.extend(SweepSpec(
+                    algebra=L,
+                    predicate=row.predicate,
+                    classifier=row.classifier,
+                    domain=row.domain,
+                    claim=(row.label if isinstance(row.label, str)
+                           else row.label(L)),
+                    workers=workers,
+                ) for row in group)
+    reports = iter(_sweep_all(specs, workers))
+    for group in groups:
+        per_row = [next(reports) for _ in group]
+        for member in zip(*per_row):  # one report per row
+            for row, report in zip(group, member):
+                _record(res, row, report)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +320,8 @@ def _claim_lemma211(res: ClaimResult, fields, workers) -> None:
         diag_fail = 0
         cube_fail = 0
         checked = 0
-        algebras = _dim3_lie_algebras(f)
+        algebras = [L for family in _dim3_lie_algebras(f)
+                    for L in family.members()]
         members = _members(algebras[0], "im-one-minus-tau", workers)
         for L in algebras:
             for r in members:

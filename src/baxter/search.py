@@ -29,26 +29,34 @@ cross-checked in the test suite:
   route is held to; the paper's closed forms evaluate ``_equations`` on
   the tensor's field elements.
 
+A sweep covers one algebra or, for a claim's rows, a whole
+:class:`~baxter.algebra.Family`: its equations are replayed once on the
+family's symbolic member, whose two parameters are the ring's leading
+variables, so one solve covers every member and each side's solutions
+are cut into one slice per member; a plain algebra is the one member of
+no parameters, and every report comes from the same routine.
+
 Sweeps are deterministic: a compiled system without polys is the whole
 space and is built in the calling process without a kernel call.  A sweep
 larger than its ``chunk`` runs every other compiled system in the variable
 order :func:`baxter._kernel.plan` picks for it, cut into equal ranges of
 that order's search codes, one per ``_BLOCK_WORK`` units of the plan's
 summed work estimate and at most ``_BLOCKS``, whatever the worker count;
-each range returns its survivors as tensor encodings, and the joined
-ranges are sorted once (unless the order is natural, where they already
-ascend), so the report is identical for any worker count, chunk size or
-variable order.  The chosen orders, their estimated costs and the block
-count go to the ``baxter`` logger at DEBUG.  With ``workers > 1``
-(default from the ``YBE_WORKERS`` environment variable) the calling
-process and ``workers - 1`` helper processes, started on first use and
-kept for later sweeps, share the ranges; a worker count above the number
-of ranges is cut to it, so a sweep of one range runs in the calling
-process.  A list of sweeps (a claim's rows) is shared the same way, one
-whole sweep per item, as long as each fits its ``chunk``; a larger one is
-still cut into ranges.  The two sides are compared as sorted arrays: the
-smaller is looked up in the larger, and only the first
-``COUNTEREXAMPLE_CAP`` disagreements of each side are materialised.
+each range returns its survivors as encodings, and the joined ranges are
+sorted once (unless the order is natural, where they already ascend), so
+the report is identical for any worker count, chunk size or variable
+order.  The chosen orders, their estimated costs and the block count go
+to the ``baxter`` logger at DEBUG.  With ``workers > 1`` (default from the
+``YBE_WORKERS`` environment variable) the calling process and
+``workers - 1`` helper processes, started on first use and kept for later
+sweeps, share the ranges; a worker count above the number of ranges is
+cut to it, so a sweep of one range runs in the calling process.  A list of
+sweeps (a claim's rows) is shared the same way, one whole sweep per item:
+each is planned where it is taken and solved there if it is one range;
+the ranges of a larger one are then shared as above.  The two sides are
+compared as sorted arrays: the smaller is looked up in the larger, and
+only the first ``COUNTEREXAMPLE_CAP`` disagreements of each side are
+materialised.
 """
 from __future__ import annotations
 
@@ -64,14 +72,16 @@ import time
 import traceback
 from dataclasses import dataclass, replace
 from multiprocessing.reduction import ForkingPickler
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bialgebra, ybe
 from ._kernel import CompiledSystem, compile_polys, plan, solutions_in_range
 from ._poly import PolyRing
-from .algebra import AssocAlgebra, LieAlgebra, StructureConstants
+from .algebra import AssocAlgebra, Family, LieAlgebra, StructureConstants
 from .errors import HelperExited, InputError, SweepTooLarge
+from .gf import FieldElement
 from .tensor import Tensor2, im_one_minus_tau_member, named_view
 
 __all__ = [
@@ -182,7 +192,10 @@ def _check_selector(algebra, name: str) -> None:
         raise InputError(f"selector {name!r} needs an associative algebra")
 
 
-def _family_params(algebra, name: str, *attrs):
+def _family_params(algebra, name: str, *attrs, symbolic: bool = False):
+    """The algebra's parameters ``attrs`` as field elements.  Ring elements,
+    the parameters of a symbolic family member, pass only with ``symbolic``,
+    for equations that do not branch on the values."""
     params = getattr(algebra, "params", None)
     values = []
     for attr in attrs:
@@ -191,6 +204,11 @@ def _family_params(algebra, name: str, *attrs):
             raise InputError(
                 f"selector {name!r} needs an algebra with a "
                 f"{'/'.join(attrs)} parameterization"
+            )
+        if not (symbolic or isinstance(v, FieldElement)):
+            raise InputError(
+                f"selector {name!r} needs a field value for {attr}, "
+                f"got {v!r}"
             )
         values.append(v)
     return tuple(values)
@@ -218,6 +236,11 @@ def _equations(algebra, name: str, kt: Tensor2, const) -> list:
     the object route; ``const`` lifts a field element to those scalars.
     """
     k, n, field = kt.rows, kt.dim, algebra.field
+
+    def params(*attrs):  # lifted; a symbolic member's parameters pass
+        return [const(v) for v in
+                _family_params(algebra, name, *attrs, symbolic=True)]
+
     if name in _LIE_SELECTORS | _ASSOC_SELECTORS:  # read the constants
         sc = StructureConstants(kt.field, algebra.dim, [
             [[const(v) for v in row] for row in plane] for plane in algebra.c
@@ -241,11 +264,10 @@ def _equations(algebra, name: str, kt: Tensor2, const) -> list:
     if name == "im-one-minus-tau":
         return _im_polys(kt)
     if name == "alpha-beta-symmetric":
-        alpha, beta = _family_params(algebra, name, "alpha", "beta")
         return ybe.ab_symmetric_equations(
-            named_view(kt), const(alpha), const(beta)
+            named_view(kt), *params("alpha", "beta")
         )
-    if name == "prop16-case":
+    if name == "prop16-case":  # the case branches on the parameter values
         beta, delta = _family_params(algebra, name, "beta", "delta")
         case = ybe.bd_case_of(beta, delta)
         return ybe.bd_case_equations(
@@ -258,37 +280,34 @@ def _equations(algebra, name: str, kt: Tensor2, const) -> list:
         return bialgebra.su_family_equations(nc)
     if name == "expanded-relations":
         if getattr(algebra.params, "alpha", None) is not None:
-            alpha, beta = _family_params(algebra, name, "alpha", "beta")
-            return list(
-                ybe.ab_printed_system(nc, const(alpha), const(beta))
-            )
-        beta, delta = _family_params(algebra, name, "beta", "delta")
-        return list(ybe.bd_printed_system(nc, const(beta), const(delta)))
+            return list(ybe.ab_printed_system(nc, *params("alpha", "beta")))
+        return list(ybe.bd_printed_system(nc, *params("beta", "delta")))
     if name == "im-and-alpha-beta-symmetric":
-        alpha, beta = _family_params(algebra, name, "alpha", "beta")
         return _im_polys(kt) + [
-            bialgebra.ab_triangular_condition(nc, const(alpha), const(beta))
+            bialgebra.ab_triangular_condition(nc, *params("alpha", "beta"))
         ]
-    beta, delta = _family_params(algebra, name, "beta", "delta")
     condition = {
         "bd-printed-coboundary": bialgebra.bd_coboundary_condition,
         "bd-printed-triangular": bialgebra.bd_triangular_condition,
     }[name]
-    return [condition(nc, const(beta), const(delta), const(field.one()))]
+    return [condition(nc, *params("beta", "delta"), const(field.one()))]
 
 
 def build_selector_system(algebra, name: str, ring: PolyRing):
     """Symbolic polynomials whose common zeros are the selector's members:
-    its equations on the tensor of the ring's variables."""
+    its equations on the tensor of the ring's last ``n^2`` variables.  The
+    variables before them are a symbolic family member's parameters
+    (:meth:`~baxter.algebra.Family.symbolic`)."""
     _check_selector(algebra, name)
     n = algebra.dim
-    if ring.nvars != n * n:
+    lead = ring.nvars - n * n
+    if lead < 0:
         raise InputError(
-            f"ring has {ring.nvars} variables, expected {n * n}"
+            f"ring has {ring.nvars} variables, expected at least {n * n}"
         )
-    kt = Tensor2(
-        ring, n, [[ring.var(i * n + j) for j in range(n)] for i in range(n)]
-    )
+    kt = Tensor2(ring, n, [
+        [ring.var(lead + i * n + j) for j in range(n)] for i in range(n)
+    ])
     return _equations(algebra, name, kt, ring.const)
 
 
@@ -405,14 +424,21 @@ def _solve_block(task, index: int):
 
 # A helper task is either a tuple ``(systems, bounds, chunk)`` whose items
 # are the blocks of one sweep, or a list of one-worker ``SweepSpec``s whose
-# items are whole sweeps, each within one chunk.
+# items are whole sweeps (:func:`_sweep_item`).
 def _item_count(task) -> int:
     return len(task) if isinstance(task, list) else len(task[1]) - 1
 
 
+def _item_size(task, index: int) -> int:
+    """The codes an item covers: a whole sweep's, or a block's range."""
+    if isinstance(task, list):
+        return _codes(task[index])
+    return task[1][index + 1] - task[1][index]
+
+
 def _solve_item(task, index: int):
     if isinstance(task, list):
-        return sweep(task[index])
+        return _sweep_item(task[index])
     return _solve_block(task, index)
 
 
@@ -493,17 +519,20 @@ def _helper_main(conn, counter, parent: int) -> None:
 class _Helpers:
     """Worker processes kept alive across sweeps.
 
-    A task is the blocks of one sweep, or a list of whole sweeps that each
-    fit one chunk.  The caller hands it to ``workers - 1`` helpers; they and
-    the caller then take item indices off one shared counter until none is
-    left, so the caller never idles while items remain, and the results
-    come back in index order.  Helpers reply item by item.  Once the caller
-    has no item left, it computes an item that is still missing itself
-    whenever no reply comes within twice the time its own items took on
-    average, so a helper that the machine stalls holds up the task by about
-    two items, not by its whole stall.  The counter and every reply carry
-    the task's number, so a late helper or a late reply never mixes into a
-    later task.  An item that fails in a helper is run again in the caller,
+    A task is the blocks of one sweep, or a list of whole sweeps, each
+    solved in its item if it is one block and else returned planned.  The
+    caller hands it to ``workers - 1`` helpers; they and the caller then
+    take item indices off one shared counter until none is left, so the
+    caller never idles while items remain, and the results come back in
+    index order.  Helpers reply item by item.  Once the caller has no item
+    left, it computes the first item that is still missing itself whenever
+    no reply comes within twice the time its own items took on average, or
+    twice their time per code times that item's codes if that is longer.
+    So a helper that the machine stalls holds up the task by about two
+    items, not by its whole stall, and a helper on an item larger than the
+    caller's is not taken for a stalled one.  The counter and every reply
+    carry the task's number, so a late helper or a late reply never mixes
+    into a later task.  An item that fails in a helper is run again in the caller,
     so its error is raised with the type it has at one worker; a helper
     that dies raises :class:`~baxter.errors.HelperExited`.  Either failure
     stops the helpers, and the next task starts fresh ones.  Where the
@@ -573,15 +602,18 @@ class _Helpers:
                 self._counter.value = tag << 32
             for conn in conns:
                 conn.send((tag, task))
-            start, mine = time.perf_counter(), 0
+            start, mine, codes = time.perf_counter(), 0, 0
             while (index := _take(self._counter, tag, nitems)) is not None:
                 results[index] = _solve_item(task, index)
                 mine += 1
+                codes += _item_size(task, index)
             elapsed = time.perf_counter() - start
-            patience = 2 * elapsed / mine if mine else 0.01
             while None in results:
+                index = results.index(None)
+                patience = 2 * elapsed * max(
+                    1 / mine, _item_size(task, index) / codes
+                ) if mine else 0.01
                 if not collect(patience):
-                    index = results.index(None)
                     results[index] = _solve_item(task, index)
         except BaseException:
             # stop helpers that may still be busy with this task
@@ -612,54 +644,67 @@ def _helpers(count: int) -> _Helpers:
     return _HELPERS
 
 
-def _solve(sides: dict, total: int, chunk: int, workers: int) -> dict:
-    """Ascending solution arrays over all ``total`` encodings, one for each
-    ``{side: system}`` entry; sides with equal systems share one solve.
+def _systems(sides: dict) -> list:
+    """The distinct systems with polys among ``sides``, in side order;
+    sides with equal systems share one solve."""
+    return [system for system in dict.fromkeys(sides.values())
+            if system.polys]
+
+
+def _blocks(sides: dict, total: int, chunk: int) -> tuple:
+    """The solve of ``sides`` over all ``total`` encodings as a block task
+    ``(systems, bounds, chunk)``: block ``i`` runs every system over the
+    codes from ``bounds[i]`` to ``bounds[i + 1]``.
 
     A system without polys is the whole space and needs no kernel call.
-    A sweep larger than ``chunk`` runs every other system in the variable
-    order :func:`baxter._kernel.plan` picks for it, cut into
+    A sweep within ``chunk`` is one block of its systems as they are.  A
+    larger one runs every system in the variable order
+    :func:`baxter._kernel.plan` picks for it, cut into
     ``min(_BLOCKS, ceil(W / _BLOCK_WORK))`` equal ranges of search codes,
-    where ``W`` sums each system's estimate for its chosen order; each
-    range comes back as encodings, and the joined ranges are sorted unless
-    the order is natural.  A single range is one kernel call per system,
-    and its array is used as it is.
+    where ``W`` sums each system's estimate for its chosen order.
     """
-    shared: dict = {}  # system -> the sides it serves, in order
-    for side, system in sides.items():
-        shared.setdefault(system, []).append(side)
+    systems = _systems(sides)
+    if total <= chunk or not systems:
+        return systems, (0, total), chunk
+    planned = [plan(system) for system in systems]
+    runs = [run for run, _, _ in planned]
+    work = sum(natural if run.var_order is None else greedy
+               for run, natural, greedy in planned)
+    blocks = min(_BLOCKS, max(1, math.ceil(work / _BLOCK_WORK)))
+    _LOG.debug("variable order: %s; estimated work %.3g in %d blocks",
+               "; ".join(
+                   f"{'/'.join(s for s, v in sides.items() if v == system)}"
+                   f" {run.var_order or 'natural'}, estimated cost"
+                   f" natural {natural:.3g} greedy {greedy:.3g}"
+                   for system, (run, natural, greedy) in zip(systems, planned)
+               ), work, blocks)
+    return runs, tuple(total * k // blocks for k in range(blocks + 1)), chunk
+
+
+def _run(task: tuple, workers: int) -> list:
+    """Every block of ``task``, shared with ``workers - 1`` helpers; a
+    participant without a block would idle, so there are at most as many
+    participants as blocks."""
+    blocks = _item_count(task)
+    workers = min(workers, blocks)
+    if workers == 1:
+        return [_solve_block(task, index) for index in range(blocks)]
+    with _HELPERS_LOCK:
+        return _helpers(workers - 1).run(task, workers - 1)
+
+
+def _join(sides: dict, total: int, task: tuple, parts: list) -> dict:
+    """Each side's ascending solution array from the blocks' ``parts``.
+
+    A system's ranges are joined in block order and sorted unless its order
+    is natural; a single range is used as it is.
+    """
     found = {system: np.arange(total, dtype=np.uint64)
-             for system in shared if not system.polys}
-    systems = [system for system in shared if system.polys]
-    if systems and total <= chunk:
-        parts = [_solve_block((systems, (0, total), chunk), 0)]
-        runs = systems
-    elif systems:
-        planned = [plan(system) for system in systems]
-        runs = [run for run, _, _ in planned]
-        work = sum(natural if run.var_order is None else greedy
-                   for run, natural, greedy in planned)
-        blocks = min(_BLOCKS, max(1, math.ceil(work / _BLOCK_WORK)))
-        _LOG.debug("variable order: %s; estimated work %.3g in %d blocks",
-                   "; ".join(
-                       f"{'/'.join(shared[system])}"
-                       f" {run.var_order or 'natural'}, estimated cost"
-                       f" natural {natural:.3g} greedy {greedy:.3g}"
-                       for system, (run, natural, greedy)
-                       in zip(systems, planned)
-                   ), work, blocks)
-        bounds = tuple(total * k // blocks for k in range(blocks + 1))
-        task = (runs, bounds, chunk)
-        workers = min(workers, blocks)  # a participant without a block idles
-        if workers == 1:
-            parts = [_solve_block(task, index) for index in range(blocks)]
-        else:
-            with _HELPERS_LOCK:
-                parts = _helpers(workers - 1).run(task, workers - 1)
-    for i, system in enumerate(systems):
+             for system in dict.fromkeys(sides.values()) if not system.polys}
+    for i, (system, run) in enumerate(zip(_systems(sides), task[0])):
         pieces = [part[i] for part in parts]
         joined = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        if runs[i].var_order is not None:
+        if run.var_order is not None:
             joined.sort()
         found[system] = joined
     return {side: found[system] for side, system in sides.items()}
@@ -744,25 +789,52 @@ class SolutionReport:
         )
 
 
-def sweep(spec: SweepSpec) -> SolutionReport:
-    """Run the sweep described by ``spec`` over the whole tensor space,
-    or over ``spec.domain`` when one is named."""
+def _lead(algebra) -> int:
+    """How many leading ring variables ``algebra``'s parameters take: two
+    for a :class:`~baxter.algebra.Family`, none for a plain algebra."""
+    return 2 if isinstance(algebra, Family) else 0
+
+
+def _codes(spec: SweepSpec) -> int:
+    """The codes a sweep of ``spec`` searches: every member's tensors."""
     algebra = spec.algebra
-    f = algebra.field
+    return algebra.field.q ** (_lead(algebra) + algebra.dim ** 2)
+
+
+class _Planned(NamedTuple):
+    """A sweep whose systems are built, as ``{side: system}``, and cut into
+    the blocks of ``task``."""
+
+    spec: SweepSpec
+    sides: dict
+    task: tuple
+
+
+def _plan_sweep(spec: SweepSpec) -> _Planned:
+    """Build the sides of a sweep of ``spec`` and cut its solve into blocks.
+
+    The selectors' equations are replayed once, on the algebra or on a
+    family's symbolic member over a ring whose leading variables are its
+    parameters, so a code is the member's index times ``q^(n^2)`` plus the
+    tensor's encoding.  A plain algebra is the one member of no parameters.
+    """
+    algebra = spec.algebra
     n = algebra.dim
-    space = tensor_count(f, n)
-    if space > MAX_SWEEP:
+    space = tensor_count(algebra.field, n)
+    if space > MAX_SWEEP:  # per member, whatever the family's size
         raise SweepTooLarge(space, MAX_SWEEP)
     if spec.chunk < 1:
         raise InputError("chunk must be positive")
     if spec.limit is not None and spec.limit < 0:
         raise InputError("limit must be >= 0")
-    ring = PolyRing(f, n * n)
+    lead = _lead(algebra)
+    ring = PolyRing(algebra.field, lead + n * n)
+    symbolic = algebra.symbolic(ring) if lead else algebra
     built = {}
 
     def polys(name):
         if name not in built:
-            built[name] = build_selector_system(algebra, name, ring)
+            built[name] = build_selector_system(symbolic, name, ring)
         return built[name]
 
     domain = [] if spec.domain is None else polys(spec.domain)
@@ -775,13 +847,42 @@ def sweep(spec: SweepSpec) -> SolutionReport:
         sides["classifier"] = system(spec.classifier)
     if spec.domain is not None:
         sides["domain"] = compile_polys(ring, domain)
-    workers = resolve_workers(spec.workers)
-    t0 = time.perf_counter()
-    found = _solve(sides, space, spec.chunk, workers)
-    pred, cls = found["predicate"], found.get("classifier")
-    total = space if spec.domain is None else int(found["domain"].size)
-    duration_ms = (time.perf_counter() - t0) * 1000.0
+    return _Planned(spec, sides, _blocks(sides, _codes(spec), spec.chunk))
 
+
+def _finish(planned: _Planned, workers: int) -> list[SolutionReport]:
+    """Solve a planned sweep's blocks and report on every member, in
+    parameter order: each side's ascending solutions are cut at the
+    multiples of ``q^(n^2)`` into one slice per member.  Each report's
+    ``duration_ms`` is its share of the solve."""
+    spec, sides, task = planned
+    algebra = spec.algebra
+    members = algebra.members() if _lead(algebra) else [algebra]
+    space = tensor_count(algebra.field, algebra.dim)
+    t0 = time.perf_counter()
+    found = _join(sides, _codes(spec), task, _run(task, workers))
+    duration_ms = (time.perf_counter() - t0) * 1000.0 / len(members)
+    cuts = np.arange(len(members) + 1, dtype=np.uint64) * np.uint64(space)
+    bounds = {side: codes.searchsorted(cuts) for side, codes in found.items()}
+
+    def part(side, k):
+        codes = found[side][bounds[side][k]:bounds[side][k + 1]]
+        return codes - np.uint64(k * space) if k else codes
+
+    return [
+        _report(spec, member, part("predicate", k),
+                part("classifier", k) if "classifier" in found else None,
+                space if spec.domain is None else part("domain", k).size,
+                duration_ms)
+        for k, member in enumerate(members)
+    ]
+
+
+def _report(spec: SweepSpec, algebra, pred, cls, total: int,
+            duration_ms: float) -> SolutionReport:
+    """The report on ``algebra`` from its ascending solution arrays."""
+    f = algebra.field
+    n = algebra.dim
     classifier_count = agreement = None
     diff = [(0, pred[:0]), (0, pred[:0])]
     if cls is not None:
@@ -812,7 +913,7 @@ def sweep(spec: SweepSpec) -> SolutionReport:
         field=f.literal(),
         algebra=algebra.label,
         params=params,
-        total=total,
+        total=int(total),
         predicate_count=int(pred.size),
         classifier_count=classifier_count,
         pred_only_count=pred_only_count,
@@ -826,27 +927,42 @@ def sweep(spec: SweepSpec) -> SolutionReport:
     )
 
 
-def _sweep_all(specs: list, workers: int | None = None) -> list:
-    """The reports of ``sweep(spec)`` for every spec, in order.
+def sweep(spec: SweepSpec) -> SolutionReport:
+    """Run the sweep described by ``spec`` over the whole tensor space,
+    or over ``spec.domain`` when one is named."""
+    if _lead(spec.algebra):
+        raise InputError("sweep takes one algebra, not a family")
+    (report,) = _finish(_plan_sweep(spec), resolve_workers(spec.workers))
+    return report
 
-    With more than one worker, the sweeps whose space fits their ``chunk``
-    go to the helpers as one task, one whole sweep at one worker per item;
-    each other sweep then runs here, cut into blocks over the helpers.
+
+def _sweep_item(spec: SweepSpec):
+    """A whole sweep as one helper item: its reports if it is one block,
+    else the planned sweep, whose blocks the caller then shares out."""
+    planned = _plan_sweep(spec)
+    if _item_count(planned.task) > 1:
+        return planned
+    return _finish(planned, 1)
+
+
+def _sweep_all(specs: list, workers: int | None = None) -> list:
+    """For every spec, in order, the reports on every member of its
+    algebra (one report for a plain algebra, one per member of a family).
+
+    With more than one worker and more than one spec, the specs go to the
+    helpers as one task, one whole sweep per item (:func:`_sweep_item`);
+    each sweep of more than one block comes back planned, and its blocks
+    are then shared over the helpers.
     """
     workers = resolve_workers(workers)
-    small = [i for i, spec in enumerate(specs)
-             if tensor_count(spec.algebra.field, spec.algebra.dim)
-             <= spec.chunk]
-    reports = [None] * len(specs)
-    if workers > 1 and len(small) > 1:
-        task = [replace(specs[i], workers=1) for i in small]
-        count = min(workers, len(task)) - 1
-        with _HELPERS_LOCK:
-            done = _helpers(count).run(task, count)
-        for i, report in zip(small, done):
-            reports[i] = report
-    return [sweep(spec) if report is None else report
-            for spec, report in zip(specs, reports)]
+    if workers == 1 or len(specs) < 2:
+        return [_finish(_plan_sweep(spec), workers) for spec in specs]
+    task = [replace(spec, workers=1) for spec in specs]
+    count = min(workers, len(task)) - 1
+    with _HELPERS_LOCK:
+        done = _helpers(count).run(task, count)
+    return [_finish(item, workers) if isinstance(item, _Planned) else item
+            for item in done]
 
 
 # ---------------------------------------------------------------------------

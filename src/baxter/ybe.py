@@ -35,8 +35,10 @@ from .errors import (
     CaseNotCovered,
     DimensionMismatch,
     FieldMismatch,
+    InputError,
     WrongCharacteristic,
 )
+from .gf import FieldElement
 from .tensor import (
     NamedCoeffs,
     Tensor2,
@@ -266,7 +268,15 @@ def bd_case_of(beta, delta) -> str:
 
     ``II``: beta = 0, delta != 0; ``III``: beta != 0, delta = 1;
     ``IV``: beta = delta = 0.  Anything else raises ``CaseNotCovered``.
+    The case branches on the values, so ring elements (a symbolic family
+    member's parameters) raise ``InputError``.
     """
+    if not (isinstance(beta, FieldElement)
+            and isinstance(delta, FieldElement)):
+        raise InputError(
+            f"the bd case needs field values, got beta={beta!r}, "
+            f"delta={delta!r}"
+        )
     one = beta.field.one()
     if beta.is_zero():
         return "IV" if delta.is_zero() else "II"

@@ -6,6 +6,7 @@ import pytest
 from baxter import (
     CLAIM_IDS, Tensor2, claim_check, claim_default_fields, field,
 )
+from baxter.algebra import Family
 from baxter.errors import UnknownClaim
 
 # sha256 per claim, on its default fields, over "{cid} {exit_code} {passed}",
@@ -65,40 +66,35 @@ def test_claim_is_identical_across_worker_counts(cid):
         assert _without_durations(claim_check(cid, workers=3)) == want
 
 
-def test_claim_ships_helpers_only_sweeps_within_one_chunk(monkeypatch):
-    import os
-
+def test_claim_solves_whole_only_sweeps_of_one_block(monkeypatch):
+    # Every sweep of the claim is one item of one helper task; each is
+    # planned where it is taken and, being one block, solved there, so no
+    # item comes back planned and no block task follows.
     from baxter import search
 
-    tasks, blocks = [], []
-    real_run, real_block = search._Helpers.run, search._solve_block
-    caller = os.getpid()
+    tasks, replies = [], []
+    real_run = search._Helpers.run
 
     def spy_run(self, task, count):
         tasks.append(task)
-        return real_run(self, task, count)
+        replies.append(real_run(self, task, count))
+        return replies[-1]
 
-    def spy_block(task, index):
-        if os.getpid() == caller:
-            blocks.append(task[1][index:index + 2])
-        return real_block(task, index)
-
-    search._helpers(0).close()  # helpers forked below inherit the spies
     monkeypatch.setattr(search._Helpers, "run", spy_run)
-    monkeypatch.setattr(search, "_solve_block", spy_block)
-    claim_check("Thm0.3-CYBE", workers=2)
-    search._helpers(0).close()
-    whole = [spec for task in tasks if isinstance(task, list)
-             for spec in task]
-    assert whole and all(
-        search.tensor_count(spec.algebra.field, spec.algebra.dim)
-        <= spec.chunk and spec.workers == 1
-        for spec in whole
-    )
-    # the dim-4 commutator_lie(M2) sweep over GF(4) is larger than its
-    # chunk, but its estimated work makes one block, run in the caller
-    assert not [task for task in tasks if isinstance(task, tuple)]
-    assert [b for b in blocks if b[1] > 1 << 20] == [(0, 4 ** 16)]
+    res = claim_check("Thm0.3-CYBE", workers=2)
+    assert _digest("Thm0.3-CYBE", res) == GOLDEN["Thm0.3-CYBE"]
+    (task,) = tasks
+    assert all(spec.workers == 1 for spec in task)
+    # per field: the ab and bd families (q**2 members of q**9 tensors
+    # each), the two dim-2 algebras and commutator_lie(M2); over GF(4) the
+    # families and M2 are larger than their chunk, but one block each
+    assert [search._codes(spec) for spec in task] == [
+        2 ** 11, 2 ** 11, 2 ** 4, 2 ** 4, 2 ** 16,
+        4 ** 11, 4 ** 11, 4 ** 4, 4 ** 4, 4 ** 16,
+    ]
+    assert [isinstance(spec.algebra, Family) for spec in task] == [
+        True, True, False, False, False] * 2
+    assert all(isinstance(reports, list) for reports in replies[0])
 
 
 def test_claim_at_one_worker_starts_no_helpers(monkeypatch):

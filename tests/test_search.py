@@ -16,6 +16,7 @@ from baxter import (
     make_dim2,
     make_family_ab,
     make_family_bd,
+    build_selector_system,
     compile_selector,
     make_matrix_algebra,
     resolve_workers,
@@ -483,7 +484,7 @@ def test_sweep_failing_in_a_helper_keeps_its_error_type(f2, monkeypatch):
         search._sweep_all(specs, workers=1)
     search._helpers(0).close()  # helpers forked below inherit the patch
     caller = os.getpid()
-    real = search.sweep
+    real = search._sweep_item
     handed_over = []
 
     def hold_first(spec):
@@ -495,7 +496,7 @@ def test_sweep_failing_in_a_helper_keeps_its_error_type(f2, monkeypatch):
             handed_over.append(time.monotonic() < deadline)
         return real(spec)
 
-    monkeypatch.setattr(search, "sweep", hold_first)
+    monkeypatch.setattr(search, "_sweep_item", hold_first)
     with pytest.raises(InputError) as two:
         search._sweep_all(specs, workers=2)
     assert handed_over == [True]
@@ -615,3 +616,129 @@ def test_sweep_cut_into_blocks_by_its_estimated_work(monkeypatch):
     report = json.loads(canon.pop())
     assert report["predicate_count"] == 5 ** 9
     assert report["classifier_count"] == 125
+
+
+# -- a family swept as one system ------------------------------------------
+
+_GENERIC = [name for name in SELECTOR_NAMES
+            if name not in ("qybe", "prop16-case")]
+
+
+def _family_vs_members(f, kind, predicate, classifier, domain):
+    """One family sweep against a sweep of each member that
+    ``make_family_*`` builds: equal reports, or the same error."""
+    from dataclasses import replace
+
+    from baxter import search
+    from baxter.algebra import Family
+
+    make = {"ab": make_family_ab, "bd": make_family_bd}[kind]
+    spec = SweepSpec(algebra=Family(kind, f), predicate=predicate,
+                     classifier=classifier, domain=domain,
+                     keep_solutions=True, limit=64)
+    try:
+        want = [sweep(replace(spec, algebra=make(f, x, y))).canonical_json()
+                for x in f.elements() for y in f.elements()]
+    except InputError as exc:  # the selector needs the other family
+        with pytest.raises(InputError, match=str(exc)):
+            search._sweep_all([spec], workers=1)
+        return
+    (got,) = search._sweep_all([spec], workers=1)
+    assert [r.canonical_json() for r in got] == want
+
+
+@pytest.mark.parametrize("kind", ["ab", "bd"])
+@pytest.mark.parametrize("q", [2, 4])
+def test_family_sweep_reports_each_member(kind, q):
+    # Every selector that does not branch on the parameter values, as
+    # predicate against the CYBE oracle, the domains the claims use taking
+    # turns: each member's slice of the family's solve is its own sweep.
+    from baxter import field
+
+    f = field(2) if q == 2 else field(2, 2, 0b111)
+    domains = (None, "im-one-minus-tau", "strongly-symmetric")
+    for i, name in enumerate(_GENERIC):
+        _family_vs_members(f, kind, name, "cybe", domains[i % 3])
+
+
+def test_family_sweep_reports_each_member_over_gf8(f8):
+    # Thm2.1-II over GF(8): 64 members of 8**9 tensors each
+    _family_vs_members(f8, "ab", "triangular",
+                       "im-and-alpha-beta-symmetric", "im-one-minus-tau")
+
+
+def test_symbolic_parameters_are_refused_where_values_branch(f4):
+    # A selector that branches on the parameter values cannot take a
+    # family's symbolic member: Poly.is_zero() on a parameter is False, so
+    # prop16-case would silently build the case-III/IV equations.
+    from baxter import search, ybe
+    from baxter._poly import PolyRing
+    from baxter.algebra import Family
+
+    ring = PolyRing(f4, 11)
+    bd = Family("bd", f4).symbolic(ring)
+    ab = Family("ab", f4).symbolic(ring)
+    with pytest.raises(InputError, match="field values"):
+        ybe.bd_case_of(ring.var(0), ring.var(1))
+    with pytest.raises(InputError, match="field value for beta"):
+        search._family_params(bd, "prop16-case", "beta", "delta")
+    with pytest.raises(InputError, match="field value for alpha"):
+        selector_predicate(ab, "alpha-beta-symmetric")
+    spec = SweepSpec(algebra=Family("bd", f4), predicate="cybe",
+                     classifier="prop16-case")
+    with pytest.raises(InputError, match="field value for beta"):
+        search._sweep_all([spec], workers=1)
+    # the selectors that do not branch take the ring variables
+    assert build_selector_system(bd, "bd-printed-coboundary", ring)
+
+
+def test_family_sweep_guards_each_member_space(monkeypatch):
+    # A GF(16) family has 16**11 = 2**44 codes, above MAX_SWEEP but within
+    # uint64; its members have 16**9, so it passes the guard.
+    from baxter import field, search
+    from baxter.algebra import Family
+    from baxter.search import MAX_SWEEP
+
+    spec = SweepSpec(algebra=Family("ab", field(2, 4, 0b10011)),
+                     predicate="cybe")
+    assert search._codes(spec) == 16 ** 11 > MAX_SWEEP
+
+    class Planned(Exception):
+        pass
+
+    def stop(sides, total, chunk):
+        raise Planned(total)
+
+    monkeypatch.setattr(search, "_blocks", stop)
+    with pytest.raises(Planned) as past:
+        search._plan_sweep(spec)
+    assert past.value.args == (16 ** 11,)
+    monkeypatch.setattr(search, "MAX_SWEEP", 16 ** 9 - 1)
+    with pytest.raises(SweepTooLarge):
+        search._plan_sweep(spec)
+    with pytest.raises(InputError, match="not a family"):
+        sweep(spec)
+
+
+def test_sweep_all_shares_the_blocks_of_a_planned_item(f4, monkeypatch):
+    # A whole sweep of more than one block comes back planned from its
+    # item, and the caller then shares its blocks over the helpers.
+    from baxter import search
+    from baxter.algebra import Family
+
+    specs = [
+        SweepSpec(algebra=Family("ab", f4), predicate="cybe",
+                  classifier="alpha-beta-symmetric"),
+        SweepSpec(algebra=make_dim2(f4, "nonabelian"), predicate="cybe",
+                  classifier="symmetric"),
+    ]
+    want = [[r.canonical_json() for r in reports]
+            for reports in search._sweep_all(specs, workers=1)]
+    search._helpers(0).close()  # helpers forked below inherit the patch
+    tasks = _pin_blocks(monkeypatch, blocks=4)
+    got = search._sweep_all(specs, workers=2)
+    search._helpers(0).close()
+    assert [type(task) for task in tasks] == [list, tuple]
+    assert len(tasks[1][1]) - 1 == 4
+    assert [[r.canonical_json() for r in reports] for reports in got] == want
+    assert [len(reports) for reports in got] == [16, 1]
