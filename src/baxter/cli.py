@@ -6,8 +6,8 @@ suites), ``decompose`` (rank-one normal form), ``bialgebra`` (cobracket /
 co-Jacobi detail for one tensor).
 
 Exit codes are a stable contract: 0 = check holds / suite passed,
-1 = check false, 2 = input error, 3 = claim ran but its discrepancy ledger
-is nonempty.  All user-facing basis indices are 1-based.
+1 = check false, 2 = input error or out of memory, 3 = claim ran but its
+discrepancy ledger is nonempty.  All user-facing basis indices are 1-based.
 """
 from __future__ import annotations
 
@@ -233,11 +233,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_claim(args) -> int:
     fields = None
     if args.fields:
-        fields = [
-            parse_field(lit.strip())
-            for lit in args.fields.split(",")
-            if lit.strip()
-        ]
+        fields = [parse_field(lit.strip()) for lit in args.fields.split(",")
+                  if lit.strip()]
         if not fields:
             raise InputError("--fields given but empty")
     result = claim_check(args.claim, fields=fields, workers=args.workers)
@@ -436,11 +433,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except BaxterError as exc:
+    except (BaxterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory; try a smaller sweep", file=sys.stderr)
         return 2
 
 

@@ -1,6 +1,7 @@
 """Registered verification suites: pass/fail/ledger behavior per claim."""
 import hashlib
 
+import numpy as np
 import pytest
 
 from baxter import (
@@ -316,3 +317,113 @@ def test_claims_accept_field_objects_and_literals(f4):
     assert res.passed
     res2 = claim_check("Thm2.4", fields=[f4])
     assert res2.passed
+
+
+# ---------------------------------------------------------------------------
+# Lemma2.1.1: the kernel count against the per-tensor loop it replaced
+
+
+def _lemma211_reference(family, xs=(0, 1, 2)):
+    """The per-tensor loop, on the object route: for every member of
+    ``family``, r in Im(1 - tau) and x in ``xs``, whether each reading's
+    action of e_x on the CYBE residual equals the co-Jacobi defect at x.
+    Returns the failing codes ``member * q^3 + (r's rank among the Im
+    members)`` per (reading, x), and the diagonal failure notes in loop
+    order."""
+    from baxter import bialgebra, ybe
+    from baxter.claims import _members
+
+    f = family.field
+    members = family.members()
+    ims = _members(members[0], "im-one-minus-tau", 1)
+    failed = {(mode, x): [] for mode in ("diagonal", "cube") for x in xs}
+    notes = []
+    for k, L in enumerate(members):
+        for rank, r in enumerate(ims):
+            c = ybe.cybe_residual(L, r)
+            defects = bialgebra.cojacobi_defect(L, r)
+            for x in xs:
+                for mode in ("diagonal", "cube"):
+                    act = bialgebra.adjoint_act3(L, x, c, mode=mode)
+                    if act != defects[x]:
+                        failed[mode, x].append(k * len(ims) + rank)
+                        if mode == "diagonal":
+                            notes.append(
+                                f"diagonal reading fails: {L.label} over "
+                                f"{f.literal()}, r={r.literal()}, x=e{x + 1}"
+                            )
+    return failed, notes
+
+
+def _lemma211_kernel_failures(family, xs=(0, 1, 2)):
+    from baxter.claims import _lemma211_holds
+
+    every = np.arange(family.field.q ** 5)
+    holds = _lemma211_holds(family, 1)
+    return {(mode, x): np.setdiff1d(every, holds[mode, x]).tolist()
+            for mode in ("diagonal", "cube") for x in xs}
+
+
+def _failures(failed, reading) -> int:
+    return sum(len(codes) for (mode, _), codes in failed.items()
+               if mode == reading)
+
+
+def test_lemma211_kernel_count_matches_the_per_tensor_loop(f2, f4):
+    # the same failing (member, r) codes, and the counts of the notes
+    cube = 0
+    for kind in ("ab", "bd"):
+        family = Family(kind, f2)
+        failed, _ = _lemma211_reference(family)
+        assert _lemma211_kernel_failures(family) == failed
+        assert _failures(failed, "diagonal") == 0
+        cube += _failures(failed, "cube")
+    assert cube == 4  # "fails in 4/192 cases"
+    # GF(4): one family and one x, to keep the loop short; bd at e3 holds
+    # every cube failure of "fails in 432/6144 cases"
+    family = Family("bd", f4)
+    failed, _ = _lemma211_reference(family, xs=(2,))
+    assert _lemma211_kernel_failures(family, xs=(2,)) == failed
+    assert (_failures(failed, "diagonal"), _failures(failed, "cube")) == (
+        0, 432)
+
+
+def test_lemma211_broken_diagonal_action_fails_with_the_loop_notes(
+    f2, monkeypatch
+):
+    # a wrong action that is still generic over ring scalars: it adds the
+    # residual itself, so it fails wherever the residual is nonzero
+    from baxter import bialgebra
+    from baxter.cli import main
+    from baxter.search import COUNTEREXAMPLE_CAP
+
+    real = bialgebra.adjoint_act3
+
+    def wrong(L, xi, t, mode="diagonal"):
+        out = real(L, xi, t, mode)
+        return out.add(t) if mode == "diagonal" else out
+
+    monkeypatch.setattr(bialgebra, "adjoint_act3", wrong)
+    notes, diag_fail, cube_fail = [], 0, 0
+    for kind in ("ab", "bd"):
+        failed, family_notes = _lemma211_reference(Family(kind, f2))
+        notes += family_notes
+        diag_fail += _failures(failed, "diagonal")
+        cube_fail += _failures(failed, "cube")
+    assert len(notes) > COUNTEREXAMPLE_CAP  # the cap is exercised
+    res = claim_check("Lemma2.1.1", fields=[f2])
+    assert not res.passed and res.exit_code == 1
+    assert res.notes == notes[:COUNTEREXAMPLE_CAP] + [
+        f"gf(2): diagonal reading holds in {192 - diag_fail}/192 (algebra,"
+        f" r, x) cases; tensor-cube reading fails in {cube_fail}/192 cases"
+        " -- the diagonal action is the operative reading"
+    ]
+    assert main(["claim", "Lemma2.1.1", "--fields", "gf(2)"]) == 1
+
+
+def test_lemma211_outside_characteristic_2_is_refused(f3):
+    from baxter.errors import WrongCharacteristic
+
+    with pytest.raises(WrongCharacteristic,
+                       match="^family requires characteristic 2, got 3$"):
+        claim_check("Lemma2.1.1", fields=[f3])

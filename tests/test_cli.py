@@ -287,3 +287,16 @@ def test_matrix_source_and_qybe_verify(capsys):
         "--tensor", ",".join(["0x0"] * 16), "--check", "qybe",
     )
     assert code == 0
+
+
+def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
+    import baxter.cli
+
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(baxter.cli, "sweep", exhausted)
+    code, out, err = run(capsys, "enumerate", *SL2, "--predicate", "cybe")
+    assert code == 2
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in out + err
