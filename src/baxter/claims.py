@@ -6,8 +6,9 @@ registered exhaustive checks and returns the reports, any
 predicate-vs-classifier disagreements (as a pinned, reproducible
 :class:`~baxter.search.DiscrepancyLedger`), and human-readable notes.  Most
 checks are rows of sweeps; Lemma2.1.1's identity is counted by the kernel
-over each family at once, and only Lemma0.2 and Example1.5 check tensors
-one at a time.
+over each family at once, Lemma0.2's product invariance is one ring identity
+per field, and only Lemma0.2's round trip and basis-change check (over the 6
+generators of GL_3(GF(2))) and Example1.5 look at tensors one at a time.
 
 The oracle-first policy applies throughout: residual/co-Jacobi brute force
 is ground truth, closed-form classifiers are compared against it, and a
@@ -37,7 +38,7 @@ from .algebra import (
     make_family_bd,
     make_matrix_algebra,
 )
-from .errors import SingularMatrix, UnknownClaim
+from .errors import UnknownClaim
 from .gf import Field, parse_field
 from .tensor import BasisChange, Tensor2, _contract, _nonzero_entries
 
@@ -220,24 +221,44 @@ def _run_rows(res: ClaimResult, rows, fields, workers) -> None:
 # claims that are not sweeps
 
 
+def _selected(algebras, name: str, workers) -> list[list[Tensor2]]:
+    """Per algebra, the tensors the selector ``name`` selects, ascending;
+    the sweeps are listed first, so the helpers share them."""
+    reports = search._sweep_all([search.SweepSpec(
+        algebra=L, predicate=name, workers=workers, keep_solutions=True,
+    ) for L in algebras], workers)
+    return [[Tensor2.decode(L.field, L.dim, code) for code in report.solutions]
+            for L, (report,) in zip(algebras, reports)]
+
+
 def _members(algebra, name: str, workers) -> list[Tensor2]:
     """The tensors the selector ``name`` selects in ``algebra``, ascending."""
-    report = search.sweep(search.SweepSpec(
-        algebra=algebra, predicate=name, workers=workers, keep_solutions=True))
-    return [Tensor2.decode(algebra.field, algebra.dim, code)
-            for code in report.solutions]
+    (members,) = _selected([algebra], name, workers)
+    return members
+
+
+def _transvections(f: Field, n: int) -> list[BasisChange]:
+    """The changes ``I + E_ij`` (i != j), which generate GL_n(GF(2))."""
+    zero, one = f.zero(), f.one()
+    return [BasisChange(f, [[one if s == t or (s, t) == (i, j) else zero
+                             for t in range(n)] for s in range(n)])
+            for i in range(n) for j in range(n) if i != j]
 
 
 def _claim_lemma02(res: ClaimResult, fields, workers) -> None:
     """Strong-symmetry structure: basis-change invariance, implied symmetry,
     product permutation invariance, and the rank-one normal form, checked on
     the tensors the ``strongly-symmetric`` selector selects."""
+    dims = (1, 2, 3)
+    selected = iter(_selected([
+        lie_validate(StructureConstants.from_terms(f, dim, {}))
+        for f in fields for dim in dims
+    ], "strongly-symmetric", workers))
     for f in fields:
         # (II) implied symmetry + (IV) rank-one round trip, dims 1..3, on the
         # selector's members, which must be the rank-one construction's
-        for dim in (1, 2, 3):
-            abelian = lie_validate(StructureConstants.from_terms(f, dim, {}))
-            members = _members(abelian, "strongly-symmetric", workers)
+        for dim in dims:
+            members = next(selected)
             built = search.strong_symmetric_enumerate(f, dim)
             if members != built:
                 res.passed = False
@@ -267,42 +288,40 @@ def _claim_lemma02(res: ClaimResult, fields, workers) -> None:
                 f"{f.literal()} dim {dim}: {len(members)} strongly symmetric"
                 f" tensors; symmetry and rank-one round-trip hold"
             )
-        # (III) product invariance under all quadruple permutations, on the
-        # dim-3 members: k (x) k keyed (i, j, l, m) equals every permutation
-        # of its keys
-        perm_fail = 0
-        for r in members:
-            k = _nonzero_entries(r.rows, 2, f.zero())
-            prod = _contract("ijlm", [("ij", k), ("lm", k)])
-            for perm in itertools.permutations(range(4)):
-                moved = {itemgetter(*perm)(key): v for key, v in prod.items()}
-                if moved != prod:
-                    perm_fail += 1
-        if perm_fail:
+        # (III) product invariance under all quadruple permutations, as one
+        # identity in c, v0, v1, v2: with k = c v (x) v, whose image and zero
+        # are the dim-3 members by (IV), k (x) k keyed (i, j, l, m) equals
+        # every permutation of its keys
+        ring = PolyRing(f, 4)
+        c, *v = (ring.var(i) for i in range(4))
+        k = _nonzero_entries(ybe.rank1_tensor(ring, c, v).rows, 2, ring.zero())
+        prod = _contract("ijlm", [("ij", k), ("lm", k)])
+        holds = all(
+            {itemgetter(*perm)(key): kk for key, kk in prod.items()} == prod
+            for perm in itertools.permutations(range(4)))
+        if not holds:
             res.passed = False
         res.notes.append(
             f"{f.literal()} dim 3: product permutation invariance "
-            f"{'fails' if perm_fail else 'holds'} across all quadruples"
+            f"{'holds' if holds else 'fails'} across all quadruples, as an "
+            f"identity in c, v for k = c v(x)v"
         )
     # (I) basis-change invariance of the predicate, GF(2).  Each change is
     # a bijection of the tensor space, so the predicate is invariant iff
-    # every change maps the set it accepts onto itself.
+    # every change maps the set it accepts onto itself, and it is enough
+    # that every generator of GL_3(GF(2)) does.
     f2 = parse_field(_GF2)
     tensors = list(search.enumerate_tensors(f2, 3))
-    changes = []
-    for m in tensors:
-        try:
-            changes.append(BasisChange(f2, m.rows))
-        except SingularMatrix:
-            continue
+    changes = _transvections(f2, 3)
     strong = {r for r in tensors if ybe.is_strongly_symmetric(r)}
     invariant = all({ch.apply_t2(r) for r in strong} == strong
                     for ch in changes)
     if not invariant:
         res.passed = False
     res.notes.append(
-        f"gf(2) dim 3: predicate invariance under all {len(changes)} "
-        f"invertible basis changes on all {len(tensors)} tensors "
+        f"gf(2) dim 3: predicate invariance under the {len(changes)} "
+        f"transvections I + E_ij, which generate all 168 invertible basis "
+        f"changes, on all {len(tensors)} tensors "
         f"({'holds' if invariant else 'fails'})"
     )
 
@@ -393,8 +412,9 @@ def _example15_spot_checks(res: ClaimResult, fields, workers) -> None:
 
 class _Claim(NamedTuple):
     """A claim's default ``fields``, its sweeps as ``rows`` (run first), and
-    ``code(res, fields, workers)`` for Lemma0.2's and Example1.5's checks
-    and Lemma2.1.1's kernel count."""
+    ``code(res, fields, workers)`` for Lemma0.2's shared member sweeps,
+    generator and ring-identity checks, Example1.5's spot checks and
+    Lemma2.1.1's kernel count."""
 
     fields: tuple[str, ...]
     rows: tuple[_Row, ...] = ()

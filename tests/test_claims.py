@@ -38,6 +38,20 @@ def default_runs():
     return {cid: claim_check(cid) for cid in CLAIM_IDS}
 
 
+@pytest.fixture(autouse=True)
+def _fresh_helpers(request):
+    """Forked helpers run baxter as it was when they were forked, so a test
+    that patches it starts with none and leaves none behind."""
+    from baxter import search
+
+    patches = "monkeypatch" in request.fixturenames
+    if patches and search._HELPERS is not None:
+        search._HELPERS.close()
+    yield
+    if patches and search._HELPERS is not None:
+        search._HELPERS.close()
+
+
 def _digest(cid, res) -> str:
     h = hashlib.sha256(f"{cid} {res.exit_code} {res.passed}\n".encode())
     for rep in res.reports:
@@ -427,3 +441,122 @@ def test_lemma211_outside_characteristic_2_is_refused(f3):
     with pytest.raises(WrongCharacteristic,
                        match="^family requires characteristic 2, got 3$"):
         claim_check("Lemma2.1.1", fields=[f3])
+
+
+# ---------------------------------------------------------------------------
+# Lemma0.2: the generator check against the whole-group check it replaced
+
+
+def _basis_changes(f2):
+    """Every invertible basis change of GF(2)^3, built from all 512
+    matrices as the deleted check built them."""
+    from baxter.errors import SingularMatrix
+    from baxter.search import enumerate_tensors
+    from baxter.tensor import BasisChange
+
+    changes = []
+    for m in enumerate_tensors(f2, 3):
+        try:
+            changes.append(BasisChange(f2, m.rows))
+        except SingularMatrix:
+            continue
+    return changes
+
+
+def _lemma02_reference(f2) -> bool:
+    """The deleted check: every invertible basis change maps the strongly
+    symmetric tensors onto themselves."""
+    from baxter import ybe
+    from baxter.search import enumerate_tensors
+
+    strong = {r for r in enumerate_tensors(f2, 3)
+              if ybe.is_strongly_symmetric(r)}
+    return all({ch.apply_t2(r) for r in strong} == strong
+               for ch in _basis_changes(f2))
+
+
+def test_lemma02_transvections_generate_every_basis_change(f2):
+    from baxter.claims import _transvections
+
+    gens = _transvections(f2, 3)
+    seen, frontier = {g.matrix for g in gens}, gens
+    while frontier:
+        grown = {h.matrix: h for g in frontier for s in gens
+                 for h in [g.then(s)] if h.matrix not in seen}
+        seen.update(grown)
+        frontier = list(grown.values())
+    invertible = {ch.matrix for ch in _basis_changes(f2)}
+    assert len(gens) == 6
+    assert seen == invertible and len(invertible) == 168
+
+
+@pytest.mark.parametrize("patched", [False, True])
+def test_lemma02_generator_check_matches_the_whole_group(
+    f2, monkeypatch, patched
+):
+    # the real predicate is invariant; r[0][0] != 0 is not
+    from baxter import ybe
+
+    if patched:
+        monkeypatch.setattr(ybe, "is_strongly_symmetric",
+                            lambda r: r.rows[0][0] != r.field.zero())
+    whole = _lemma02_reference(f2)
+    assert whole is not patched
+    (note,) = [n for n in claim_check("Lemma0.2", fields=[f2]).notes
+               if "basis changes" in n]
+    assert ("holds" if whole else "fails") in note
+    assert "6 transvections" in note and "168" in note
+
+
+def test_lemma02_product_identity_catches_a_non_symmetric_construction(
+    f2, monkeypatch
+):
+    # k_ij = c v_i v_0 only when built over the polynomial ring, so (III)
+    # alone sees it: the selector's members still round-trip through the
+    # real rank-one form
+    from baxter import ybe
+    from baxter._poly import PolyRing
+
+    real = ybe.rank1_tensor
+
+    def lopsided(scalars, scale, vector):
+        if not isinstance(scalars, PolyRing):
+            return real(scalars, scale, vector)
+        n = len(vector)
+        return Tensor2(scalars, n, [[scale * vector[i] * vector[0]
+                                     for _ in range(n)] for i in range(n)])
+
+    (note,) = [n for n in claim_check("Lemma0.2", fields=[f2]).notes
+               if "product permutation invariance" in n]
+    assert "holds" in note
+    monkeypatch.setattr(ybe, "rank1_tensor", lopsided)
+    res = claim_check("Lemma0.2", fields=[f2])
+    assert not res.passed and res.exit_code == 1
+    (note,) = [n for n in res.notes if "product permutation invariance" in n]
+    assert "fails" in note
+    assert all("hold" in n for n in res.notes if n != note)
+
+
+def test_lemma02_shares_its_sweeps_and_notes_match_across_worker_counts(
+    monkeypatch,
+):
+    # the six strongly-symmetric sweeps go to the helpers as one task
+    from baxter import search
+
+    tasks = []
+    real_run = search._Helpers.run
+
+    def spy_run(self, task, count):
+        tasks.append(task)
+        return real_run(self, task, count)
+
+    monkeypatch.setattr(search._Helpers, "run", spy_run)
+    want = claim_check("Lemma0.2", workers=1).notes
+    assert not tasks
+    assert claim_check("Lemma0.2", workers=2).notes == want
+    (task,) = tasks
+    assert [(spec.algebra.field.literal(), spec.algebra.dim, spec.predicate)
+            for spec in task] == [
+        (f, dim, "strongly-symmetric")
+        for f in claim_default_fields("Lemma0.2") for dim in (1, 2, 3)
+    ]
