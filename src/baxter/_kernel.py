@@ -28,6 +28,15 @@ encodings, built once per compiled system.  The table covers at most
 ``_FREE_TABLE`` codes; free digits beyond it are first assigned to the
 bases, one digit at a time.
 
+The kernel can also count instead of listing: a surviving prefix past
+the last poly then counts as the size of its free subtree, per bucket of
+leading digits (one bucket per member of a family's system), and only the
+first and last subtree of a range, which the range can cut, are grown
+further.  A last level solved on the parent prefixes is counted there
+from each parent's number of roots, without its children.  A listing can
+stop after its first ``limit`` solutions.  :func:`satisfied` tests given
+encodings against a system, all at once.
+
 Variables are assigned in the system's ``var_order``, natural (the tensor
 encoding's own digit order) by default; the prefixes are then *search
 codes*, and the weights of the bases and the table map each call's
@@ -53,6 +62,8 @@ __all__ = [
     "compile_polys",
     "solutions_in_range",
     "plan",
+    "estimated_solutions",
+    "satisfied",
     "evaluate_code",
 ]
 
@@ -376,17 +387,25 @@ def _coefficients(linear: _Linear, tables: dict, digits) -> np.ndarray:
     return acc[:, :size].astype(np.uint8)
 
 
-def _solve_linear(linear: _Linear, tables: dict, depth: int, codes, digits):
-    """The children of a linear level: per prefix, the common root of its
-    polys, every digit where all of them vanish identically, or none."""
+def _roots(linear: _Linear, tables: dict, digits):
+    """Per prefix, the digits where every poly of a linear level vanishes,
+    as the bounds ``(lo, hi)`` of an interval: one root is ``lo == hi``,
+    every digit ``lo > hi`` and none ``lo < hi``."""
     q = tables["q"]
     k = linear.npolys
     acc = _coefficients(linear, tables, digits)
     idx = acc[:k].astype(np.uint16)
     idx *= q
     idx += acc[k:]
-    lo = tables["lo"].take(idx).min(axis=0)
-    hi = tables["hi"].take(idx).max(axis=0)
+    return (tables["lo"].take(idx).min(axis=0),
+            tables["hi"].take(idx).max(axis=0))
+
+
+def _solve_linear(linear: _Linear, tables: dict, depth: int, codes, digits):
+    """The children of a linear level: per prefix, the common root of its
+    polys, every digit where all of them vanish identically, or none."""
+    q = tables["q"]
+    lo, hi = _roots(linear, tables, digits)
     every = lo > hi
     if every.any():
         counts = np.where(every, q, lo == hi)
@@ -460,11 +479,169 @@ def _emit(codes: np.ndarray, bases: np.ndarray, table: np.ndarray,
     return out[head:out.size - tail]
 
 
+def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
+               start: int, stop: int, chunk: int, target: int):
+    """The prefixes at depth ``target`` whose subtrees meet ``[start,
+    stop)``, as ``(depth, codes, digits)`` pieces in ascending search-code
+    order.
+
+    A frontier whose next level would hold more than ``chunk`` entries
+    (``q`` children, or one per term of a linear level, per prefix) is
+    halved first and the halves are grown depth first.
+    """
+    levels = compiled.levels
+    q = tables["q"]
+    n = system.nvars
+    char2 = system.p == 2
+    stack = [(0, np.zeros(1, dtype=np.uint64),
+              np.empty((0, 1), dtype=np.uint8))]
+    while stack:
+        depth, codes, digits = stack.pop()
+        while codes.size and depth < target:
+            size = codes.size
+            level = levels[depth + 1]
+            if size > 1 and size * (level.width if level else q) > chunk:
+                half = size // 2
+                stack.append((depth, codes[half:], digits[:, half:]))
+                codes, digits = codes[:half], digits[:, :half]
+                continue
+            codes, digits, _ = _step(level, tables, char2, depth,
+                                     codes, digits)
+            depth += 1
+            keep = _meeting(codes, q ** (n - depth), start, stop)
+            codes, digits = codes[keep], digits[:, keep]
+        if codes.size:
+            yield depth, codes, digits
+
+
+def _bases(system: CompiledSystem, weights: np.ndarray, q: int, depth: int,
+           codes: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The encoding of each prefix with its free digits zero: the weighted
+    sum of its assigned digits."""
+    if system.var_order is None:  # the search code is the encoding's prefix
+        return codes * np.uint64(q ** (system.nvars - depth))
+    return np.einsum("d,dp->p", weights[:depth], digits)
+
+
+def _first_prefixes(want: int, span: int) -> slice:
+    """The ascending prefixes of subtrees of ``span`` codes that can hold
+    the first ``want`` codes of a range: the first may be cut."""
+    return slice(-(-want // span) + 1)
+
+
+class _Tally(NamedTuple):
+    """Solutions counted by bucket, ``counts[encoding // width]``, for a
+    system of ``n`` variables over GF(``q``) whose depths have encoding
+    ``weights``."""
+
+    counts: np.ndarray
+    width: int
+    weights: np.ndarray
+    q: int
+    n: int
+
+
+def _add_subtrees(tally: _Tally, depth: int, bases: np.ndarray,
+                  sizes: np.ndarray | None = None) -> None:
+    """Add the whole subtrees of prefixes at ``depth`` with ``bases`` to
+    the tally, each ``sizes`` times over (once without ``sizes``).
+
+    Every digit from ``depth`` on is free, so a subtree holds ``q**(n -
+    depth)`` codes, spread evenly over the buckets that its free leading
+    digits (weights of at least ``width``) can reach.
+    """
+    counts, width, weights, q, n = tally
+    offsets = np.zeros(1, dtype=np.intp)
+    for weight in weights[depth:].tolist():
+        if weight >= width:
+            step = weight // width
+            offsets = np.add.outer(offsets, np.arange(0, q * step, step))
+            offsets = offsets.ravel()
+    per = q ** (n - depth) // offsets.size
+    buckets = counts.size
+    hist = np.bincount((bases // np.uint64(width)).astype(np.intp),
+                       sizes, minlength=buckets).astype(np.int64)
+    for offset in offsets.tolist():
+        counts[offset:] += hist[:buckets - offset] * per
+
+
+def _count_subtrees(tally: _Tally, depth: int, codes: np.ndarray,
+                    bases: np.ndarray, start: int, stop: int) -> None:
+    """Add the codes under the given prefixes at ``depth``, past which every
+    digit is free, clipped to ``[start, stop)``, to the tally.
+
+    The prefixes are ascending and each one's subtree meets the range, so
+    only the first and last can be cut; those two are grown one digit at a
+    time until no child is cut.
+    """
+    q, n = tally.q, tally.n
+    row = np.arange(q, dtype=np.uint64)
+    while codes.size:
+        whole = _uncut(codes, q ** (n - depth), start, stop)
+        if whole.start < whole.stop:
+            _add_subtrees(tally, depth, bases[whole])
+        cut = _cut(codes, whole)
+        if not cut:
+            return
+        codes = _grow(codes[cut] * np.uint64(q), 1, row)
+        bases = _grow(bases[cut], tally.weights[depth], row)
+        depth += 1
+        keep = _meeting(codes, q ** (n - depth), start, stop)
+        codes, bases = codes[keep], bases[keep]
+
+
+def _uncut(codes: np.ndarray, span: int, start: int, stop: int) -> slice:
+    """The ascending prefixes whose subtrees of ``span`` codes lie inside
+    ``[start, stop)``, given that each one's subtree meets it: all but
+    perhaps the first and the last."""
+    first = int(codes[0]) * span < start
+    last = (int(codes[-1]) + 1) * span > stop
+    return slice(int(first), max(int(first), codes.size - last))
+
+
+def _cut(codes: np.ndarray, whole: slice) -> list:
+    """The indices of the prefixes that ``whole`` leaves out."""
+    return list(range(whole.start)) + list(range(whole.stop, codes.size))
+
+
+def _count_last(tally: _Tally, depth: int, level: _Level, tables: dict,
+                codes: np.ndarray, digits: np.ndarray, bases: np.ndarray,
+                start: int, stop: int, chunk: int) -> None:
+    """Count the subtrees under the children of the given prefixes, one
+    short of the last poly's depth, whose level is solved on them.
+
+    A prefix whose subtree lies inside ``[start, stop)`` counts its
+    children (one root, all ``q`` digits or none) times their free
+    subtrees, at most ``chunk // level.width`` prefixes at a time; the
+    first and last prefix, which may be cut, grow their children.
+    """
+    q, n = tally.q, tally.n
+    whole = _uncut(codes, q ** (n - depth), start, stop)
+    size = max(1, chunk // level.width)
+    for lo in range(whole.start, whole.stop, size):
+        part = slice(lo, min(lo + size, whole.stop))
+        low, high = _roots(level.linear, tables, digits[:, part])
+        children = np.where(low > high, q, low == high)
+        _add_subtrees(tally, depth + 1, bases[part], children)
+    cut = _cut(codes, whole)
+    if cut:
+        codes, digits = _solve_linear(level.linear, tables, depth,
+                                      codes[cut], digits[:, cut])
+        keep = _meeting(codes, q ** (n - depth - 1), start, stop)
+        codes, digits = codes[keep], digits[:, keep]
+        if codes.size:
+            bases = np.einsum("d,dp->p", tally.weights[:depth + 1], digits)
+            _count_subtrees(tally, depth + 1, codes, bases, start, stop)
+
+
 def solutions_in_range(
     system: CompiledSystem,
     start: int,
     stop: int,
     chunk: int = 1 << 20,
+    *,
+    limit: int | None = None,
+    buckets: int | None = None,
 ) -> np.ndarray:
     """Encodings of the solutions whose search codes lie in ``[start, stop)``.
 
@@ -483,57 +660,99 @@ def solutions_in_range(
     are grown depth first, so peak memory stays ``O(chunk * nvars)`` bytes
     plus the output, however large the range (a single prefix always
     expands).
+
+    With ``limit``, only the first ``limit`` solutions in search order are
+    returned, and the search stops once it has them.
+
+    With ``buckets`` (a power ``q**k`` of the field order, at most
+    ``q**nvars``), the solutions are counted instead, and nothing is
+    emitted: returns ``int64`` counts, entry ``b`` counting the solutions
+    whose encoding lies in ``[b * width, (b + 1) * width)`` for ``width =
+    q**nvars // buckets`` (for a family's system, one bucket per member).
+    A surviving prefix counts as the size of its free subtree; only the
+    first and last subtree of the range can be cut.
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
     order = system.var_order
     if order is not None:
         system = system._replace(var_order=tuple(order))
-    levels, last, weights, free, table = _compile(system)
+    compiled = _compile(system)
     tables = _tables(system)
     q = tables["q"]
     n = system.nvars
+    if buckets is not None:
+        if buckets not in [q ** k for k in range(n + 1)]:
+            raise ValueError(f"buckets must be a power of {q} up to {q}**{n}")
+        tally = _Tally(np.zeros(buckets, dtype=np.int64), q ** n // buckets,
+                       compiled.weights, q, n)
     start = max(start, 0)
     stop = min(stop, q ** n)
-    if start >= stop or levels[0] is not None:
-        return np.empty(0, dtype=np.uint64)
-    char2 = system.p == 2
+    if start >= stop or compiled.levels[0] is not None or limit == 0:
+        return tally.counts if buckets is not None else np.empty(0, np.uint64)
+    levels, last = compiled.levels, compiled.last
+    weights, free, table = compiled.weights, compiled.free, compiled.table
     row = tables["codes"]
-    parts = []
-    stack = [(0, np.zeros(1, dtype=np.uint64),
-              np.empty((0, 1), dtype=np.uint8))]
-    while stack:
-        depth, codes, digits = stack.pop()
-        while codes.size and depth < last:
-            size = codes.size
-            level = levels[depth + 1]
-            if size > 1 and size * (level.width if level else q) > chunk:
-                half = size // 2
-                stack.append((depth, codes[half:], digits[:, half:]))
-                codes, digits = codes[:half], digits[:, :half]
-                continue
-            codes, digits, _ = _step(level, tables, char2, depth,
-                                     codes, digits)
-            depth += 1
-            keep = _meeting(codes, q ** (n - depth), start, stop)
-            codes, digits = codes[keep], digits[:, keep]
-        if not codes.size:
+    # Counting, a last level solved on the parent prefixes is counted
+    # there, without its children, unless it assigns a bucket's digit.
+    early = (buckets is not None and last > 0
+             and levels[last].linear is not None
+             and weights[last - 1] < tally.width)
+    parts, found = [], 0
+    for depth, codes, digits in _frontiers(system, compiled, tables,
+                                           start, stop, chunk,
+                                           last - early):
+        # the remaining digits are free: a prefix's encodings are its base
+        # plus those of every free suffix
+        bases = _bases(system, weights, q, depth, codes, digits)
+        if depth < last:
+            _count_last(tally, depth, levels[last], tables, codes, digits,
+                        bases, start, stop, chunk)
             continue
-        # the remaining digits are free: a prefix's encodings are its base,
-        # the weighted sum of its digits, plus those of every free suffix
-        if order is None:  # the search code is the encoding's prefix
-            bases = codes * np.uint64(q ** (n - depth))
-        else:
-            bases = np.einsum("d,dp->p", weights[:depth], digits)
+        if buckets is not None:
+            _count_subtrees(tally, depth, codes, bases, start, stop)
+            continue
         for d in range(depth, free):
+            if limit is not None:
+                keep = _first_prefixes(limit - found, q ** (n - d))
+                codes, bases = codes[keep], bases[keep]
             codes = _grow(codes * np.uint64(q), 1, row)
             bases = _grow(bases, weights[d], row)
             keep = _meeting(codes, q ** (n - d - 1), start, stop)
             codes, bases = codes[keep], bases[keep]
-        parts.append(_emit(codes, bases, table, start, stop))
+        if limit is not None:
+            keep = _first_prefixes(limit - found, table.size)
+            codes, bases = codes[keep], bases[keep]
+        part = _emit(codes, bases, table, start, stop)
+        if limit is not None:
+            part = part[:limit - found]
+        parts.append(part)
+        found += part.size
+        if found == limit:
+            break
+    if buckets is not None:
+        return tally.counts
     if len(parts) == 1:  # concatenating one part would copy it
         return parts[0]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+
+
+def satisfied(system: CompiledSystem, codes: np.ndarray) -> np.ndarray:
+    """Whether every poly of ``system`` vanishes on each of the encodings
+    ``codes``, as a boolean mask; the digits of all of them are evaluated
+    at once, one poly at a time."""
+    tables = _tables(system)
+    q = tables["q"]
+    digits = np.empty((system.nvars, codes.size), dtype=np.uint8)
+    rest = codes.astype(np.uint64)
+    for d in reversed(range(system.nvars)):
+        digits[d] = rest % np.uint64(q)
+        rest //= np.uint64(q)
+    kept, _, _ = _prune(system.polys, tables, system.p == 2,
+                        np.arange(codes.size), digits)
+    mask = np.zeros(codes.size, dtype=bool)
+    mask[kept] = True
+    return mask
 
 
 # -- choosing the variable order ---------------------------------------------
@@ -571,15 +790,19 @@ def _greedy_order(system: CompiledSystem) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _cost(system: CompiledSystem, tables: dict) -> float:
-    """Estimated kernel work over the whole space in ``system``'s order.
+@functools.lru_cache(maxsize=64)
+def _estimate(system: CompiledSystem) -> tuple[float, float]:
+    """Estimated kernel work over the whole space in ``system``'s order,
+    and the estimated number of solutions there.
 
     The frontier is grown level by level by the kernel's own step, but
     whenever more than ``_PLAN_SAMPLE`` prefixes survive a level, a seeded
     sample of that many is kept and each stands for its share of the
     survivors; a level without polys past that size keeps one random child
     per prefix.  So the estimate is exact while the frontier is small.
+    Cached by the system's value.
     """
+    tables = _tables(system)
     q = tables["q"]
     char2 = system.p == 2
     rng = random.Random(0)  # a system always gets the same plan
@@ -609,7 +832,9 @@ def _cost(system: CompiledSystem, tables: dict) -> float:
             pick = _random_words(rng, codes.size).argpartition(
                 _PLAN_SAMPLE)[:_PLAN_SAMPLE]
             codes, digits = codes[pick], digits[:, pick]
-    return cost
+    if levels[0] is not None:  # a nonzero constant poly
+        return cost, 0.0
+    return cost, weight * codes.size * q ** (system.nvars - last)
 
 
 def _random_words(rng: random.Random, size: int) -> np.ndarray:
@@ -625,13 +850,21 @@ def plan(system: CompiledSystem) -> tuple[CompiledSystem, float, float]:
     natural = system._replace(var_order=None)
     if not system.polys:
         return natural, 0.0, 0.0
-    tables = _tables(system)
-    natural_cost = _cost(natural, tables)
+    natural_cost, _ = _estimate(natural)
     greedy_sys = system._replace(var_order=_greedy_order(system))
-    greedy_cost = _cost(greedy_sys, tables)
+    greedy_cost, _ = _estimate(greedy_sys)
     if greedy_cost * _PLAN_GAIN <= natural_cost:
         return greedy_sys, natural_cost, greedy_cost
     return natural, natural_cost, greedy_cost
+
+
+def estimated_solutions(system: CompiledSystem) -> float:
+    """The number of solutions of ``system`` over its whole space, as
+    :func:`plan` estimates it in the system's order: exact while the
+    sampled frontier is small, and exact for a system without polys."""
+    if not system.polys:
+        return float(system.order ** system.nvars)
+    return _estimate(system)[1]
 
 
 def evaluate_code(system: CompiledSystem, code: int) -> bool:

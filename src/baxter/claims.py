@@ -347,9 +347,12 @@ def _lemma211_holds(family: Family, workers) -> dict:
             L, x, c, mode)), search._values(defects[x]))
     ]) for mode in ("diagonal", "cube") for x in range(3)}
     total = family.field.q ** 5
-    task = search._blocks(sides, total, search.SweepSpec.chunk)
-    return search._join(sides, total, task, search._run(
+    # listed whole, at most q^5 codes per system
+    task = search._task(sides, total, max(total, search.SweepSpec.chunk), 1,
+                        sides.values())
+    found = search._join(sides, task, search._run(
         task, search.resolve_workers(workers)))
+    return {key: side.codes for key, side in found.items()}
 
 
 def _claim_lemma211(res: ClaimResult, fields, workers) -> None:

@@ -147,6 +147,18 @@ class SweepTooLarge(InputError):
         )
 
 
+class ListingTooLarge(InputError):
+    """A listing without a limit would hold more solutions than its guard."""
+
+    def __init__(self, count: int, limit: int):
+        self.count = count
+        self.limit = limit
+        super().__init__(
+            f"listing {count} solutions exceeds the guard of {limit};"
+            " give a limit"
+        )
+
+
 class HelperExited(BaxterError):
     """A sweep helper process exited in the middle of a task."""
 

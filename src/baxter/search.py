@@ -33,30 +33,46 @@ A sweep covers one algebra or, for a claim's rows, a whole
 :class:`~baxter.algebra.Family`: its equations are replayed once on the
 family's symbolic member, whose two parameters are the ring's leading
 variables, so one solve covers every member and each side's solutions
-are cut into one slice per member; a plain algebra is the one member of
-no parameters, and every report comes from the same routine.
+are counted, or cut, per member; a plain algebra is the one member of no
+parameters, and every report comes from the same routine.
 
 Sweeps are deterministic: a compiled system without polys is the whole
-space and is built in the calling process without a kernel call.  A sweep
-larger than its ``chunk`` runs every other compiled system in the variable
-order :func:`baxter._kernel.plan` picks for it, cut into equal ranges of
-that order's search codes, one per ``_BLOCK_WORK`` units of the plan's
-summed work estimate and at most ``_BLOCKS``, whatever the worker count;
-each range returns its survivors as encodings, and the joined ranges are
-sorted once (unless the order is natural, where they already ascend), so
-the report is identical for any worker count, chunk size or variable
-order.  The chosen orders, their estimated costs and the block count go
-to the ``baxter`` logger at DEBUG.  With ``workers > 1`` (default from the
-``YBE_WORKERS`` environment variable) the calling process and
-``workers - 1`` helper processes, started on first use and kept for later
-sweeps, share the ranges; a worker count above the number of ranges is
-cut to it, so a sweep of one range runs in the calling process.  A list of
-sweeps (a claim's rows) is shared the same way, one whole sweep per item:
-each is planned where it is taken and solved there if it is one range;
-the ranges of a larger one are then shared as above.  The two sides are
-compared as sorted arrays: the smaller is looked up in the larger, and
-only the first ``COUNTEREXAMPLE_CAP`` disagreements of each side are
-materialised.
+space and is counted (or listed, within ``chunk``) in the calling process
+without a kernel call.  A sweep larger than its ``chunk`` runs every other
+compiled system in the variable order :func:`baxter._kernel.plan` picks
+for it, cut into equal ranges of that order's search codes, one per
+``_BLOCK_WORK`` units of the plan's summed work estimate and at most
+``_BLOCKS``, whatever the worker count.  The chosen orders, their
+estimated costs and the block count go to the ``baxter`` logger at DEBUG.
+With ``workers > 1`` (default from the ``YBE_WORKERS`` environment
+variable) the calling process and ``workers - 1`` helper processes,
+started on first use and kept for later sweeps, share the ranges; a
+worker count above the number of ranges is cut to it, so a sweep of one
+range runs in the calling process.  A list of sweeps (a claim's rows) is
+shared the same way, one whole sweep per item: each is planned where it is
+taken and solved there if it is one range; the ranges of a larger one are
+then shared as above.
+
+A side builds an array of its solutions only while they fit in ``chunk``:
+the classifier, and the predicate when it is compared or listed without a
+limit, are listed when the sweep has at most ``chunk`` codes or the plan
+estimates at most ``chunk`` solutions.  Its ranges then return their
+survivors as encodings while those of one process stay within ``chunk``
+(the kernel stops listing one past it), and the joined ranges are sorted
+once (unless the order is natural, where they already ascend).  Every
+other side, and a listed one whose solutions pass ``chunk``, is counted
+per member by the kernel and holds no array.  Two listed sides are
+compared as sorted arrays: the smaller is looked up in the larger.
+Otherwise the codes they share are the solutions of one system of both
+sides' polys: a side's own, when its polys include the other's, or else
+counted.  A side-only count above zero that no array holds gets its first
+``COUNTEREXAMPLE_CAP`` codes, and a listing its first ``limit``, from a
+scan in ascending encoding order over the member's codes that stops once
+it has them.  So the report is identical for any worker count, chunk size
+or variable order, and a dense sweep holds ``O(workers * chunk)`` codes
+whatever the plan's estimates.  A listing without a limit fails with
+:class:`~baxter.errors.ListingTooLarge` past ``MAX_LISTING`` solutions,
+whatever the chunk.
 """
 from __future__ import annotations
 
@@ -77,15 +93,23 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bialgebra, ybe
-from ._kernel import CompiledSystem, compile_polys, plan, solutions_in_range
+from ._kernel import (
+    CompiledSystem,
+    compile_polys,
+    estimated_solutions,
+    plan,
+    satisfied,
+    solutions_in_range,
+)
 from ._poly import PolyRing
 from .algebra import AssocAlgebra, Family, LieAlgebra, StructureConstants
-from .errors import HelperExited, InputError, SweepTooLarge
+from .errors import HelperExited, InputError, ListingTooLarge, SweepTooLarge
 from .gf import FieldElement
 from .tensor import Tensor2, im_one_minus_tau_member, named_view
 
 __all__ = [
     "MAX_SWEEP",
+    "MAX_LISTING",
     "COUNTEREXAMPLE_CAP",
     "LEDGER_CAP",
     "SELECTOR_NAMES",
@@ -106,6 +130,9 @@ __all__ = [
 _LOG = logging.getLogger("baxter")
 
 MAX_SWEEP = 1 << 40
+# A listing without a limit holds at most this many solutions; past it,
+# the report fails before the listing is allocated.
+MAX_LISTING = 1 << 20
 COUNTEREXAMPLE_CAP = 16
 LEDGER_CAP = 16
 
@@ -380,9 +407,10 @@ class SweepSpec:
     ``domain`` names a selector whose equations are conjoined to both
     sides, so the report counts and compares within it and its ``total``
     is the domain's size.  ``chunk`` bounds the entries the kernel holds
-    in one step (memory); it never changes the report.  ``limit``
-    caps the solutions ``keep_solutions`` keeps to the smallest ``limit``
-    encodings.
+    in one step and the solutions a side holds as an array (memory); it
+    never changes the report.  ``limit`` caps the solutions
+    ``keep_solutions`` keeps to the smallest ``limit`` encodings; without
+    it, a listing past :data:`MAX_LISTING` solutions fails.
     """
 
     algebra: object
@@ -408,6 +436,16 @@ class SweepSpec:
 # of its work.
 _BLOCKS = 32
 _BLOCK_WORK = 1e6
+# A scan for a side's first solutions (:func:`_first`) holds at most this
+# many frontier entries per kernel step, or its batch if that is larger:
+# at ``chunk`` (2**20 by default) a step grows the frontier across the
+# whole range before it reaches the first solutions, and far fewer entries
+# make each step's fixed cost dominate.  Measured on a 2-vCPU Xeon VM: the
+# scans of GF(16) bd(1,1) CYBE against symmetric take 1.7 s at 2**20
+# entries, 0.12 s at 2**12 and 0.25 s at the batch alone; the GF(4) bd
+# family's CYBE against symmetric sweep at chunk 2**12 takes 0.13 s, and
+# 0.30 s at the batch alone.
+_SCAN_STEP = 1 << 12
 # A helper replies item by item until its replies to a task reach this many
 # bytes, and sends the rest when the task ends.  It stays below the 208 KiB
 # a Linux socket pair buffers by default, so no reply waits on the caller,
@@ -415,11 +453,67 @@ _BLOCK_WORK = 1e6
 _REPLY_BYTES = 1 << 17
 
 
+class _Solve(NamedTuple):
+    """One system of a block task, in the order it is solved in: its
+    solutions are counted per member, of ``members``, and listed as
+    encodings while the blocks one process solves hold at most ``keep`` of
+    them together (0: counted only); a block that would pass that counts,
+    and so does every later block of the process.  A system without polys
+    is its whole range, with no kernel call."""
+
+    system: CompiledSystem
+    members: int
+    keep: int
+
+
+class _Counted(NamedTuple):
+    """A block's solutions of one system, counted per member."""
+
+    counts: np.ndarray
+
+
+# The task whose blocks this thread last solved, and how many more
+# encodings of each of its systems the thread may still list.
+_LISTING = threading.local()
+
+
+def _listing_left(task) -> list:
+    """The encodings of each system of ``task`` this thread may still list,
+    as a list that :func:`_solve_block` draws down; a new task starts from
+    each system's ``keep``."""
+    if getattr(_LISTING, "task", None) is not task:
+        _LISTING.task = task
+        _LISTING.left = [solve.keep for solve in task[0]]
+    return _LISTING.left
+
+
 def _solve_block(task, index: int):
-    systems, bounds, chunk = task
+    solves, bounds, chunk = task
     start, stop = bounds[index], bounds[index + 1]
-    return [solutions_in_range(system, start, stop, chunk)
-            for system in systems]
+    left = _listing_left(task)
+    out = []
+    for i, solve in enumerate(solves):
+        system = solve.system
+        if not system.polys:
+            out.append(None)
+            continue
+        if left[i]:
+            codes = solutions_in_range(system, start, stop, chunk,
+                                       limit=left[i] + 1)
+            if codes.size <= left[i]:
+                left[i] -= codes.size
+                out.append(codes)
+                continue
+            left[i] = 0
+        out.append(_Counted(solutions_in_range(
+            system, start, stop, chunk, buckets=solve.members)))
+    return out
+
+
+def _per_member(codes: np.ndarray, total: int, members: int) -> np.ndarray:
+    """How many of the encodings ``codes`` fall in each member's range."""
+    width = np.uint64(total // members)
+    return np.bincount((codes // width).astype(np.intp), minlength=members)
 
 
 # A helper task is either a tuple ``(systems, bounds, chunk)`` whose items
@@ -681,32 +775,77 @@ def _blocks(sides: dict, total: int, chunk: int) -> tuple:
     return runs, tuple(total * k // blocks for k in range(blocks + 1)), chunk
 
 
+def _task(sides: dict, total: int, chunk: int, members: int,
+          listed=()) -> tuple:
+    """The block task of :func:`_blocks` with one :class:`_Solve` per
+    distinct system of ``sides``.  A system in ``listed`` is listed when
+    it may fit in ``chunk``: always within a sweep of at most ``chunk``
+    codes, else when its planned order's estimated solutions do.  Each
+    process then lists at most ``chunk`` of its encodings, whatever the
+    estimate; every other system is counted only."""
+    runs, bounds, chunk = _blocks(sides, total, chunk)
+    runs = iter(runs)
+    solves = []
+    for system in dict.fromkeys(sides.values()):
+        run = next(runs) if system.polys else system
+        keep = system in listed and (
+            total <= chunk or estimated_solutions(run) <= chunk)
+        solves.append(_Solve(run, members, chunk if keep else 0))
+    return tuple(solves), bounds, chunk
+
+
 def _run(task: tuple, workers: int) -> list:
     """Every block of ``task``, shared with ``workers - 1`` helpers; a
     participant without a block would idle, so there are at most as many
     participants as blocks."""
     blocks = _item_count(task)
     workers = min(workers, blocks)
+    _LISTING.task = None  # a task run again lists afresh
     if workers == 1:
         return [_solve_block(task, index) for index in range(blocks)]
     with _HELPERS_LOCK:
         return _helpers(workers - 1).run(task, workers - 1)
 
 
-def _join(sides: dict, total: int, task: tuple, parts: list) -> dict:
-    """Each side's ascending solution array from the blocks' ``parts``.
+class _Side(NamedTuple):
+    """A side's solutions: how many each member has, and their ascending
+    encodings while they fit (else None)."""
 
-    A system's ranges are joined in block order and sorted unless its order
-    is natural; a single range is used as it is.
+    counts: list
+    codes: np.ndarray | None
+
+
+def _join(sides: dict, task: tuple, parts: list) -> dict:
+    """Each side's :class:`_Side` from the blocks' ``parts``.
+
+    A listed system whose blocks all kept their encodings, at most its
+    ``keep`` together, is joined in block order and sorted unless its
+    order is natural (a single range is used as it is); any other is the
+    sum of its blocks' counts.  A system without polys counts its range,
+    and is listed as it while that fits.
     """
-    found = {system: np.arange(total, dtype=np.uint64)
-             for system in dict.fromkeys(sides.values()) if not system.polys}
-    for i, (system, run) in enumerate(zip(_systems(sides), task[0])):
+    solves, bounds, _ = task
+    total = bounds[-1]
+    found = {}
+    for i, (system, solve) in enumerate(zip(dict.fromkeys(sides.values()),
+                                            solves)):
+        members, keep = solve.members, solve.keep
+        if not system.polys:
+            codes = (np.arange(total, dtype=np.uint64) if total <= keep
+                     else None)
+            found[system] = _Side([total // members] * members, codes)
+            continue
         pieces = [part[i] for part in parts]
-        joined = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        if run.var_order is not None:
-            joined.sort()
-        found[system] = joined
+        counts = sum(piece.counts if isinstance(piece, _Counted)
+                     else _per_member(piece, total, members)
+                     for piece in pieces)
+        codes = None
+        if sum(counts) <= keep and not any(isinstance(piece, _Counted)
+                                           for piece in pieces):
+            codes = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            if solve.system.var_order is not None:
+                codes.sort()
+        found[system] = _Side(counts.tolist(), codes)
     return {side: found[system] for side, system in sides.items()}
 
 
@@ -817,6 +956,9 @@ def _plan_sweep(spec: SweepSpec) -> _Planned:
     family's symbolic member over a ring whose leading variables are its
     parameters, so a code is the member's index times ``q^(n^2)`` plus the
     tensor's encoding.  A plain algebra is the one member of no parameters.
+    The classifier, and the predicate when there is a classifier or an
+    unlimited listing, are listed while they fit; every other side is
+    counted.
     """
     algebra = spec.algebra
     n = algebra.dim
@@ -843,57 +985,139 @@ def _plan_sweep(spec: SweepSpec) -> _Planned:
         return compile_polys(ring, [*polys(name), *domain])
 
     sides = {"predicate": system(spec.predicate)}
+    listed = []
     if spec.classifier is not None:
         sides["classifier"] = system(spec.classifier)
+        listed = list(sides.values())
+    elif spec.keep_solutions and spec.limit is None:
+        listed = [sides["predicate"]]
     if spec.domain is not None:
         sides["domain"] = compile_polys(ring, domain)
-    return _Planned(spec, sides, _blocks(sides, _codes(spec), spec.chunk))
+    codes = _codes(spec)
+    return _Planned(spec, sides, _task(sides, codes, spec.chunk,
+                                       codes // space, listed))
 
 
 def _finish(planned: _Planned, workers: int) -> list[SolutionReport]:
     """Solve a planned sweep's blocks and report on every member, in
-    parameter order: each side's ascending solutions are cut at the
-    multiples of ``q^(n^2)`` into one slice per member.  Each report's
-    ``duration_ms`` is its share of the solve."""
+    parameter order.  When a side of a comparison is counted, the
+    solutions the two share are those of one system of both sides' polys:
+    a side's own when its polys include the other's, else counted.  Each
+    report's ``duration_ms`` is its share of the solve."""
     spec, sides, task = planned
     algebra = spec.algebra
     members = algebra.members() if _lead(algebra) else [algebra]
-    space = tensor_count(algebra.field, algebra.dim)
     t0 = time.perf_counter()
-    found = _join(sides, _codes(spec), task, _run(task, workers))
+    found = _join(sides, task, _run(task, workers))
+    common = None
+    if "classifier" in found and (found["predicate"].codes is None
+                                  or found["classifier"].codes is None):
+        pred, cls = sides["predicate"], sides["classifier"]
+        if set(pred.polys) <= set(cls.polys):
+            common = found["classifier"].counts
+        elif set(cls.polys) <= set(pred.polys):
+            common = found["predicate"].counts
+        else:
+            both = {"both": pred._replace(
+                polys=tuple(dict.fromkeys(pred.polys + cls.polys)))}
+            task = _task(both, _codes(spec), spec.chunk, len(members))
+            common = _join(both, task, _run(task, workers))["both"].counts
     duration_ms = (time.perf_counter() - t0) * 1000.0 / len(members)
-    cuts = np.arange(len(members) + 1, dtype=np.uint64) * np.uint64(space)
-    bounds = {side: codes.searchsorted(cuts) for side, codes in found.items()}
-
-    def part(side, k):
-        codes = found[side][bounds[side][k]:bounds[side][k + 1]]
-        return codes - np.uint64(k * space) if k else codes
-
-    return [
-        _report(spec, member, part("predicate", k),
-                part("classifier", k) if "classifier" in found else None,
-                space if spec.domain is None else part("domain", k).size,
-                duration_ms)
-        for k, member in enumerate(members)
-    ]
+    return [_report(spec, member, k, sides, found, common, duration_ms)
+            for k, member in enumerate(members)]
 
 
-def _report(spec: SweepSpec, algebra, pred, cls, total: int,
-            duration_ms: float) -> SolutionReport:
-    """The report on ``algebra`` from its ascending solution arrays."""
+def _first(system: CompiledSystem, start: int, stop: int, want: int,
+           chunk: int, drop=None) -> np.ndarray:
+    """The first ``want`` solutions of ``system`` in ``[start, stop)``,
+    ascending, leaving out those that ``drop`` (a mask of an encoding
+    array) flags.
+
+    A scan in natural order that stops once it has them: each kernel call
+    lists the next batch of solutions, twice the one before up to
+    ``chunk`` (or ``want``, without ``drop``), and holds no more entries
+    in a step than its batch or ``_SCAN_STEP``, so it grows its frontier
+    depth first towards the batch's codes and not across the whole range.
+    A system without polys lists its range with no kernel call.
+    """
+    natural = system._replace(var_order=None)
+    found, got, batch = [], 0, want
+    while got < want and start < stop:
+        if natural.polys:
+            codes = solutions_in_range(natural, start, stop,
+                                       min(max(batch, _SCAN_STEP), chunk),
+                                       limit=batch)
+        else:
+            codes = np.arange(start, min(stop, start + batch),
+                              dtype=np.uint64)
+        start = int(codes[-1]) + 1 if codes.size == batch else stop
+        if drop is not None:
+            codes = codes[~drop(codes)]
+        found.append(codes[:want - got])
+        got += found[-1].size
+        batch = max(batch, min(2 * batch, chunk))
+    return np.concatenate(found) if found else np.empty(0, dtype=np.uint64)
+
+
+def _diff(spec: SweepSpec, sides: dict, pred: tuple, cls: tuple,
+          common: int | None, lo: int, hi: int) -> list:
+    """:func:`_sorted_diff` on one member's codes ``[lo, hi)`` of the two
+    sides, given as ``(count, codes)`` with ``codes`` None for a counted
+    side.
+
+    Two listed sides are compared as arrays.  Otherwise the sides share
+    ``common`` codes, and each side-only count above zero is headed by
+    that side's codes on which the other side's polys do not all vanish:
+    its array's, or a capped scan's when it is counted.
+    """
+    (pcount, pcodes), (ccount, ccodes) = pred, cls
+    if pcodes is not None and ccodes is not None:
+        return _sorted_diff(pcodes, ccodes)
+    psys, csys = sides["predicate"], sides["classifier"]
+
+    def only(system, codes, other, count):
+        want = min(count, COUNTEREXAMPLE_CAP)
+        if codes is not None:
+            return codes[~satisfied(other, codes)][:want] if want else []
+        return _first(system, lo, hi, want, spec.chunk,
+                      lambda batch: satisfied(other, batch))
+
+    return [(pcount - common, only(psys, pcodes, csys, pcount - common)),
+            (ccount - common, only(csys, ccodes, psys, ccount - common))]
+
+
+def _report(spec: SweepSpec, algebra, k: int, sides: dict, found: dict,
+            common: list | None, duration_ms: float) -> SolutionReport:
+    """The report on ``algebra``, member ``k`` of the sweep, from each
+    side's :class:`_Side`: its codes are ``[k * q^(n^2), (k + 1) *
+    q^(n^2))``, and its listing and counterexamples are encodings of its
+    tensors."""
     f = algebra.field
     n = algebra.dim
+    space = tensor_count(f, n)
+    lo, hi = k * space, (k + 1) * space
+
+    def part(side):
+        count, codes = found[side].counts[k], found[side].codes
+        if codes is not None:
+            codes = codes[codes.searchsorted(np.uint64(lo)):
+                          codes.searchsorted(np.uint64(hi))]
+        return count, codes
+
+    pred = part("predicate")
     classifier_count = agreement = None
-    diff = [(0, pred[:0]), (0, pred[:0])]
-    if cls is not None:
-        classifier_count = int(cls.size)
-        diff = _sorted_diff(pred, cls)
+    diff = [(0, []), (0, [])]
+    if spec.classifier is not None:
+        cls = part("classifier")
+        classifier_count = cls[0]
+        diff = _diff(spec, sides, pred, cls,
+                     common[k] if common is not None else None, lo, hi)
         agreement = not diff[0][0] and not diff[1][0]
     (pred_only_count, pred_only), (class_only_count, class_only) = diff
 
     candidates = sorted(
-        [(code, True) for code in pred_only.tolist()]
-        + [(code, False) for code in class_only.tolist()]
+        [(int(code) - lo, True) for code in pred_only]
+        + [(int(code) - lo, False) for code in class_only]
     )[:COUNTEREXAMPLE_CAP]
     counterexamples = [
         {
@@ -905,6 +1129,15 @@ def _report(spec: SweepSpec, algebra, pred, cls, total: int,
         for code, in_pred in candidates
     ]
 
+    solutions = None
+    if spec.keep_solutions:
+        if spec.limit is None and pred[0] > MAX_LISTING:
+            raise ListingTooLarge(pred[0], MAX_LISTING)
+        want = pred[0] if spec.limit is None else min(spec.limit, pred[0])
+        listing = (pred[1][:want] if pred[1] is not None else
+                   _first(sides["predicate"], lo, hi, want, spec.chunk))
+        solutions = (listing - np.uint64(lo)).tolist()
+
     params = algebra.params.as_dict() if algebra.params else {}
     return SolutionReport(
         claim=spec.claim,
@@ -913,17 +1146,15 @@ def _report(spec: SweepSpec, algebra, pred, cls, total: int,
         field=f.literal(),
         algebra=algebra.label,
         params=params,
-        total=int(total),
-        predicate_count=int(pred.size),
+        total=space if spec.domain is None else found["domain"].counts[k],
+        predicate_count=pred[0],
         classifier_count=classifier_count,
         pred_only_count=pred_only_count,
         class_only_count=class_only_count,
         agreement=agreement,
         counterexamples=counterexamples,
         duration_ms=duration_ms,
-        solutions=(
-            pred[:spec.limit].tolist() if spec.keep_solutions else None
-        ),
+        solutions=solutions,
     )
 
 

@@ -305,3 +305,182 @@ def test_linear_levels_match_reference(name):
         for chunk in (1, 1 << 20):
             got = solutions_in_range(ordered, 0, total, chunk).tolist()
             assert sorted(got) == want
+
+
+# -- counting, and listing the first solutions --------------------------------
+
+
+def _family_system(f, kind, name):
+    """The selector's system on a family's symbolic member: two parameter
+    variables lead, so a code is ``member * q**9 + encoding``."""
+    from baxter.algebra import Family
+
+    ring = PolyRing(f, 11)
+    member = Family(kind, f).symbolic(ring)
+    return compile_polys(ring, build_selector_system(member, name, ring))
+
+
+def _assert_counts(system, start, stop, chunk):
+    """Count mode, in buckets of every width up to ``q**3`` buckets, equals
+    the listing cut at the bucket bounds."""
+    listed = np.sort(solutions_in_range(system, start, stop, chunk))
+    q, n = system.order, system.nvars
+    for k in range(4):
+        width = q ** (n - k)
+        cuts = listed.searchsorted(
+            np.arange(q ** k + 1, dtype=np.uint64) * np.uint64(width))
+        got = solutions_in_range(system, start, stop, chunk, buckets=q ** k)
+        assert got.tolist() == np.diff(cuts).tolist(), (k, start, stop)
+    return listed
+
+
+def _cut_ranges(system):
+    """Ranges that cut the free subtree of the first solution's prefix at
+    the last poly's depth: inside it, and from inside its left neighbour
+    to inside its right one; then ranges across a member boundary."""
+    q, n = system.order, system.nvars
+    last = _compile(system).last
+    width = q ** (n - last)
+    first = solutions_in_range(system, 0, q ** n, limit=1)
+    # the first solution's search code, from its encoding's digits
+    code = 0
+    for v in system.var_order or range(n):
+        code = code * q + int(first[0]) // q ** (n - 1 - v) % q
+    prefix = code // width
+    space = q ** 9
+    return [
+        (0, q ** n),
+        (prefix * width + width // 3, prefix * width + 2 * width // 3),
+        (max(0, (prefix - 1) * width + width // 2),
+         (prefix + 2) * width + width // 2),
+        (space - 37, space + 1001),
+        (space // 2, 3 * space + space // 3),
+    ]
+
+
+COUNT_CASES = [
+    (2, "ab", "cybe"), (2, "bd", "cybe"), (2, "ab", "strongly-symmetric"),
+    (2, "bd", "coboundary"), (4, "ab", "cybe"), (4, "bd", "symmetric"),
+    (4, "bd", "cybe"),
+]
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+@pytest.mark.parametrize("q, kind, name", COUNT_CASES)
+def test_count_mode_equals_the_listing_cut_by_bucket(q, kind, name, greedy):
+    from baxter._kernel import _greedy_order
+
+    f = field(2) if q == 2 else field(2, 2, 0b111)
+    system = _family_system(f, kind, name)
+    if greedy:
+        system = system._replace(var_order=_greedy_order(system))
+    chunks = (7, 1 << 20) if q == 2 else (1 << 12, 1 << 20)
+    for start, stop in _cut_ranges(system):
+        for chunk in chunks:
+            listed = _assert_counts(system, start, stop, chunk)
+            got = solutions_in_range(system, start, stop, chunk, buckets=1)
+            assert got.tolist() == [listed.size]
+
+
+def test_count_mode_spreads_free_parameters_over_their_members(f2):
+    # Strong symmetry does not read the parameters, so greedy order leaves
+    # them free past the last poly: one free subtree (and the listing's
+    # free table, at most 4096 codes) spans all four 512-code members.
+    from baxter._kernel import _greedy_order
+
+    system = _family_system(f2, "ab", "strongly-symmetric")
+    system = system._replace(var_order=_greedy_order(system))
+    compiled = _compile(system)
+    depths = [system.var_order.index(v) for v in (0, 1)]
+    assert min(depths) >= compiled.last
+    assert compiled.table.max() >= 512
+    for start, stop in ((0, 2048), (300, 1700), (511, 513)):
+        _assert_counts(system, start, stop, 7)
+    got = solutions_in_range(system, 0, 2048, buckets=4)
+    assert got.tolist() == [8, 8, 8, 8]
+
+
+def test_count_mode_counts_a_last_linear_level_on_its_parents(
+        f4, monkeypatch):
+    # GF(4) ab(1,1) CYBE in greedy order closes its last poly on a linear
+    # level: counting takes each parent's number of roots there instead of
+    # growing the children, except for the two parents a range can cut.
+    from baxter import _kernel
+
+    system, _, _ = plan(compile_selector(make_family_ab(f4, f4.one(),
+                                                        f4.one()), "cybe"))
+    compiled = _compile(system)
+    assert compiled.levels[compiled.last].linear is not None
+    calls = []
+    real = _kernel._count_last
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, "_count_last", spy)
+    for start, stop in ((0, 4 ** 9), (1234, 99999), (4 ** 8 + 5, 4 ** 8 + 6)):
+        listed = solutions_in_range(system, start, stop)
+        got = solutions_in_range(system, start, stop, buckets=4)
+        want = np.bincount((listed // np.uint64(4 ** 8)).astype(np.intp),
+                           minlength=4)
+        assert got.tolist() == want.tolist()
+    assert calls and set(calls) == {compiled.last - 1}
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+def test_limit_lists_the_first_solutions_in_search_order(f4, greedy):
+    from baxter._kernel import _greedy_order
+
+    system = _family_system(f4, "bd", "cybe")
+    if greedy:
+        system = system._replace(var_order=_greedy_order(system))
+    for start, stop in ((0, 4 ** 11), (4 ** 9 - 50, 3 * 4 ** 9 + 7)):
+        for chunk in (1 << 10, 1 << 20):
+            listed = solutions_in_range(system, start, stop, chunk)
+            for limit in (0, 1, 5, 300, listed.size + 1):
+                got = solutions_in_range(system, start, stop, chunk,
+                                         limit=limit)
+                assert got.tolist() == listed[:limit].tolist()
+
+
+def test_limit_stops_once_it_has_the_solutions(f8):
+    # The abelian dim-3 algebra over GF(8): its CYBE system has no polys,
+    # and listing its first four solutions holds about four codes, not
+    # the 1 GB of all 8**9.
+    import tracemalloc
+
+    system = compile_selector(make_dim2(f8, "abelian"), "cybe")
+    system = system._replace(nvars=9)
+    assert not system.polys
+    solutions_in_range(system, 0, 8 ** 9, limit=4)  # compile first
+    tracemalloc.start()
+    try:
+        got = solutions_in_range(system, 5, 8 ** 9, limit=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [5, 6, 7, 8]
+    assert peak < 1 << 20
+    # one free table's worth from a cut first subtree needs the next one
+    got = solutions_in_range(system, 5, 8 ** 9, limit=8 ** 4)
+    assert got.tolist() == list(range(5, 5 + 8 ** 4))
+    assert solutions_in_range(system, 0, 8 ** 9, buckets=8).tolist() == [
+        8 ** 8] * 8
+
+
+def test_buckets_must_be_a_power_of_the_field_order(f2):
+    system = _family_system(f2, "ab", "cybe")
+    for buckets in (0, 3, 2 ** 12):
+        with pytest.raises(ValueError, match="power of 2"):
+            solutions_in_range(system, 0, 2048, buckets=buckets)
+
+
+def test_satisfied_matches_the_reference_evaluator(f4):
+    from baxter._kernel import satisfied
+
+    system = _family_system(f4, "ab", "cybe")
+    codes = np.arange(0, 4 ** 11, 997, dtype=np.uint64)
+    mask = satisfied(system, codes)
+    assert mask.tolist() == [evaluate_code(system, int(c)) for c in codes]
+    assert mask.any()

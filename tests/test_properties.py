@@ -482,3 +482,54 @@ def test_tensor_formulas_match_definition(data):
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert got[key] == _frozen(value), key
+
+
+# Selectors every algebra takes, as classifiers and domains of the route
+# draws below; against CYBE or QYBE most of them disagree somewhere.
+GENERIC = ("symmetric", "strongly-symmetric", "im-one-minus-tau")
+
+
+@st.composite
+def route_specs(draw):
+    """A sweep of a plain algebra, or of a whole GF(2) or GF(4) family,
+    with a classifier, a domain and a listing each drawn or left out, and
+    a chunk that forces every side with more solutions to be counted."""
+    from baxter.algebra import Family
+
+    if draw(st.booleans()):
+        algebra, name = draw(algebras(max_total=1 << 13))
+        small = 7
+    else:
+        q = draw(st.sampled_from((2, 4)))
+        f = field(2) if q == 2 else field(2, 2, 0b111)
+        algebra = Family(draw(st.sampled_from(("ab", "bd"))), f)
+        name = draw(st.sampled_from(("cybe", "triangular", "coboundary")
+                                    + GENERIC))
+        small = 7 if q == 2 else 1 << 10
+    listing = draw(st.booleans())
+    spec = SweepSpec(
+        algebra=algebra, predicate=name,
+        classifier=draw(st.none() | st.sampled_from(GENERIC)),
+        domain=draw(st.none() | st.sampled_from(GENERIC)),
+        keep_solutions=listing,
+        limit=draw(st.none() | st.integers(0, 40)) if listing else None,
+    )
+    return spec, small
+
+
+@settings(_settings, max_examples=40)
+@given(drawn=route_specs())
+def test_counted_route_reports_like_the_listed_route(drawn):
+    # chunk 2**20 lists every side of these spaces; the small chunk counts
+    # the sides past it, compares them by their polys or by the system of
+    # both, and scans for their counterexamples and listing
+    from dataclasses import replace
+
+    from baxter import search
+
+    spec, small = drawn
+    (want,) = search._sweep_all([spec], workers=1)
+    for workers in (1, 2):
+        (got,) = search._sweep_all([replace(spec, chunk=small)], workers)
+        assert ([r.canonical_json() for r in got]
+                == [r.canonical_json() for r in want])

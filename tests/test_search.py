@@ -585,10 +585,10 @@ def test_sweep_cut_into_blocks_by_its_estimated_work(monkeypatch):
     calls = []
     real = search.solutions_in_range
 
-    def counting(system, start, stop, chunk):
+    def counting(system, start, stop, chunk, **kwargs):
         if os.getpid() == caller:
             calls.append((system, start, stop))
-        return real(system, start, stop, chunk)
+        return real(system, start, stop, chunk, **kwargs)
 
     def refuse(count):
         raise AssertionError("a one-block sweep started helpers")
@@ -742,3 +742,173 @@ def test_sweep_all_shares_the_blocks_of_a_planned_item(f4, monkeypatch):
     assert len(tasks[1][1]) - 1 == 4
     assert [[r.canonical_json() for r in reports] for reports in got] == want
     assert [len(reports) for reports in got] == [16, 1]
+
+
+# -- sides past the chunk are counted ----------------------------------------
+
+
+def test_dense_sweep_counts_in_bounded_memory(tmp_path, capsys):
+    # Every tensor of the abelian dim-3 algebra over GF(8) solves CYBE:
+    # 8**9 = 134,217,728 solutions, which the sweep counts and does not
+    # hold; only the four listed ones are built.
+    import tracemalloc
+
+    from baxter import cli
+
+    path = tmp_path / "abelian3_gf8.alg"
+    path.write_text("field gf(2^3;0b1011)\ndim 3\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "enumerate", "--algebra", str(path), "--predicate", "cybe",
+            "--classifier", "strongly-symmetric", "--limit", "4",
+            "--format", "json", "--workers", "1",
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["predicate_count"], payload["classifier_count"]) == (
+        8 ** 9, 512)
+    assert payload["diff_pred_only"] == 8 ** 9 - 512
+    assert payload["diff_class_only"] == 0
+    assert [s["encoding"] for s in payload["solutions"]] == [0, 1, 2, 3]
+    assert len(payload["counterexamples"]) == COUNTEREXAMPLE_CAP
+    assert peak < 16 << 20
+
+
+def test_listed_side_holds_at_most_chunk_whatever_the_estimate(
+        f4, tmp_path, monkeypatch):
+    # With the plan's solution estimate forced to 0, every side is tried as
+    # a listed one.  The 8**6 = 262,144 symmetric tensors of the abelian
+    # dim-3 algebra over GF(8) (2 MB as encodings) stop one past chunk 2**10
+    # and are counted.  A GF(4) bd family's 40,000 CYBE and 65,536
+    # symmetric solutions come in four blocks of 8,320 to 16,384: at chunk
+    # 2**15 one process lists the first two or three and counts the rest.
+    import tracemalloc
+    from dataclasses import replace
+
+    from baxter import load_algebra, search
+    from baxter.algebra import Family
+
+    path = tmp_path / "abelian3_gf8.alg"
+    path.write_text("field gf(2^3;0b1011)\ndim 3\n", encoding="utf-8")
+    specs = [
+        SweepSpec(algebra=load_algebra(str(path)), predicate="cybe",
+                  classifier="symmetric"),
+        SweepSpec(algebra=Family("bd", f4), predicate="cybe",
+                  classifier="symmetric"),
+    ]
+    want = [[r.canonical_json() for r in reports]
+            for reports in search._sweep_all(specs, workers=1)]
+    search._helpers(0).close()  # helpers forked below inherit the patches
+    monkeypatch.setattr(search, "estimated_solutions", lambda system: 0.0)
+    listed = []
+    real = search._solve_block
+
+    def spy(task, index):
+        out = real(task, index)
+        listed.append([piece.size if isinstance(piece, np.ndarray) else 0
+                       for piece in out])
+        return out
+
+    monkeypatch.setattr(search, "_solve_block", spy)
+    small = [replace(specs[0], chunk=1 << 10),
+             replace(specs[1], chunk=1 << 15)]
+    tracemalloc.start()
+    try:
+        (first,) = search._sweep_all(small[:1], workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    listed.clear()
+    (family,) = search._sweep_all(small[1:], workers=1)
+    # the second task counts the codes both sides share
+    sides = [sizes for sizes in listed if len(sizes) == 2]
+    assert [sum(sizes) for sizes in zip(*sides)] == [31680, 32768]
+    try:
+        got = [first, family, *search._sweep_all(small[1:], workers=2)]
+    finally:
+        search._helpers(0).close()
+    assert [[r.canonical_json() for r in reports]
+            for reports in got] == want + want[1:]
+
+
+def test_listing_past_max_listing_fails_before_it_is_built(f4, monkeypatch,
+                                                          capsys):
+    # Whether the predicate is listed (chunk 2**20) or counted (chunk 64),
+    # a listing without a limit past MAX_LISTING fails, and a limit lists.
+    from baxter import cli, search
+    from baxter.errors import ListingTooLarge
+
+    monkeypatch.setattr(search, "MAX_LISTING", 100)
+    L = make_family_bd(f4, f4.zero(), f4.element(2))  # 1408 solutions
+    for chunk in (64, 1 << 20):
+        spec = dict(algebra=L, predicate="cybe", chunk=chunk,
+                    keep_solutions=True)
+        with pytest.raises(ListingTooLarge, match="1408 solutions"):
+            sweep(SweepSpec(**spec))
+        with pytest.raises(ListingTooLarge):
+            sweep(SweepSpec(classifier="prop16-case", **spec))
+        assert sweep(SweepSpec(limit=100, **spec)).solutions == sweep(
+            SweepSpec(limit=100, **dict(spec, chunk=1 << 20))).solutions
+    assert cli.main([
+        "enumerate", "--field", "gf(2^2;0b111)", "--family", "bd",
+        "--beta", "0x0", "--delta", "0x2", "--predicate", "cybe",
+    ]) == 2
+    assert "exceeds the guard of 100" in capsys.readouterr().err
+
+
+def test_limit_lists_no_more_than_it_keeps(f4, monkeypatch):
+    # With a limit and no classifier, the predicate is counted and its
+    # listing is a scan that builds at most ``limit`` codes.
+    from baxter import search
+
+    sizes = []
+    real = search.solutions_in_range
+
+    def spy(system, start, stop, chunk, **kwargs):
+        out = real(system, start, stop, chunk, **kwargs)
+        if "buckets" not in kwargs:
+            assert "limit" in kwargs, "the whole predicate was listed"
+            sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(search, "solutions_in_range", spy)
+    L = make_family_ab(f4, f4.one(), f4.one())
+    for chunk in (1 << 10, 1 << 20):
+        report = sweep(SweepSpec(algebra=L, predicate="cybe", chunk=chunk,
+                                 keep_solutions=True, limit=3))
+        assert report.predicate_count == 1024
+        assert len(report.solutions) == 3
+    assert sizes and max(sizes) <= 3
+
+
+def test_counted_sides_report_like_listed_ones(f2, f4):
+    # Both sides listed (chunk 2**20), or one or neither at chunk 64, where
+    # the shared codes are counted as one system: the same reports,
+    # counterexamples included.
+    from dataclasses import replace
+
+    from baxter import search
+    from baxter.algebra import Family
+
+    specs = [
+        SweepSpec(algebra=Family("ab", f2), predicate="cybe",
+                  classifier="symmetric", keep_solutions=True, limit=9),
+        SweepSpec(algebra=Family("bd", f2), predicate="strongly-symmetric",
+                  classifier="cybe", domain="symmetric"),
+        SweepSpec(algebra=make_family_bd(f4, f4.zero(), f4.one()),
+                  predicate="cybe", classifier="im-one-minus-tau",
+                  keep_solutions=True),
+    ]
+    want = [[r.canonical_json() for r in reports]
+            for reports in search._sweep_all(specs, workers=1)]
+    small = [replace(spec, chunk=64) for spec in specs]
+    for workers in (1, 2):
+        got = search._sweep_all(small, workers=workers)
+        assert [[r.canonical_json() for r in reports]
+                for reports in got] == want
+    assert any(r.counterexamples for reports in got for r in reports)
