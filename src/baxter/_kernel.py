@@ -30,12 +30,14 @@ bases, one digit at a time.
 
 The kernel can also count instead of listing: a surviving prefix past
 the last poly then counts as the size of its free subtree, per bucket of
-leading digits (one bucket per member of a family's system), and only the
-first and last subtree of a range, which the range can cut, are grown
-further.  A last level solved on the parent prefixes is counted there
-from each parent's number of roots, without its children.  A listing can
-stop after its first ``limit`` solutions.  :func:`satisfied` tests given
-encodings against a system, all at once.
+leading digits (one bucket per member of a family's system).  Counting
+grows a range at least to the depth where its bounds fall between
+subtrees, so every prefix there counts whole: a sweep's blocks are runs
+of whole subtrees of the top levels, and an unaligned range costs growth
+down to the depth of its bounds.  A last level solved on the parent
+prefixes is counted there from each parent's number of roots, without
+its children.  A listing can stop after its first ``limit`` solutions.
+:func:`satisfied` tests given encodings against a system, all at once.
 
 Variables are assigned in the system's ``var_order``, natural (the tensor
 encoding's own digit order) by default; the prefixes are then *search
@@ -565,73 +567,28 @@ def _add_subtrees(tally: _Tally, depth: int, bases: np.ndarray,
         counts[offset:] += hist[:buckets - offset] * per
 
 
-def _count_subtrees(tally: _Tally, depth: int, codes: np.ndarray,
-                    bases: np.ndarray, start: int, stop: int) -> None:
-    """Add the codes under the given prefixes at ``depth``, past which every
-    digit is free, clipped to ``[start, stop)``, to the tally.
-
-    The prefixes are ascending and each one's subtree meets the range, so
-    only the first and last can be cut; those two are grown one digit at a
-    time until no child is cut.
-    """
-    q, n = tally.q, tally.n
-    row = np.arange(q, dtype=np.uint64)
-    while codes.size:
-        whole = _uncut(codes, q ** (n - depth), start, stop)
-        if whole.start < whole.stop:
-            _add_subtrees(tally, depth, bases[whole])
-        cut = _cut(codes, whole)
-        if not cut:
-            return
-        codes = _grow(codes[cut] * np.uint64(q), 1, row)
-        bases = _grow(bases[cut], tally.weights[depth], row)
+def _aligned(q: int, n: int, start: int, stop: int) -> int:
+    """The shallowest depth whose subtrees of ``q**(n - depth)`` codes each
+    lie inside or outside ``[start, stop)``."""
+    depth = 0
+    while start % q ** (n - depth) or stop % q ** (n - depth):
         depth += 1
-        keep = _meeting(codes, q ** (n - depth), start, stop)
-        codes, bases = codes[keep], bases[keep]
-
-
-def _uncut(codes: np.ndarray, span: int, start: int, stop: int) -> slice:
-    """The ascending prefixes whose subtrees of ``span`` codes lie inside
-    ``[start, stop)``, given that each one's subtree meets it: all but
-    perhaps the first and the last."""
-    first = int(codes[0]) * span < start
-    last = (int(codes[-1]) + 1) * span > stop
-    return slice(int(first), max(int(first), codes.size - last))
-
-
-def _cut(codes: np.ndarray, whole: slice) -> list:
-    """The indices of the prefixes that ``whole`` leaves out."""
-    return list(range(whole.start)) + list(range(whole.stop, codes.size))
+    return depth
 
 
 def _count_last(tally: _Tally, depth: int, level: _Level, tables: dict,
-                codes: np.ndarray, digits: np.ndarray, bases: np.ndarray,
-                start: int, stop: int, chunk: int) -> None:
+                digits: np.ndarray, bases: np.ndarray, chunk: int) -> None:
     """Count the subtrees under the children of the given prefixes, one
-    short of the last poly's depth, whose level is solved on them.
-
-    A prefix whose subtree lies inside ``[start, stop)`` counts its
-    children (one root, all ``q`` digits or none) times their free
-    subtrees, at most ``chunk // level.width`` prefixes at a time; the
-    first and last prefix, which may be cut, grow their children.
-    """
-    q, n = tally.q, tally.n
-    whole = _uncut(codes, q ** (n - depth), start, stop)
+    short of the last poly's depth, whose level is solved on them: each
+    prefix counts its children (one root, all ``q`` digits or none) times
+    their free subtrees, at most ``chunk // level.width`` prefixes at a
+    time."""
     size = max(1, chunk // level.width)
-    for lo in range(whole.start, whole.stop, size):
-        part = slice(lo, min(lo + size, whole.stop))
+    for lo in range(0, bases.size, size):
+        part = slice(lo, lo + size)
         low, high = _roots(level.linear, tables, digits[:, part])
-        children = np.where(low > high, q, low == high)
+        children = np.where(low > high, tally.q, low == high)
         _add_subtrees(tally, depth + 1, bases[part], children)
-    cut = _cut(codes, whole)
-    if cut:
-        codes, digits = _solve_linear(level.linear, tables, depth,
-                                      codes[cut], digits[:, cut])
-        keep = _meeting(codes, q ** (n - depth - 1), start, stop)
-        codes, digits = codes[keep], digits[:, keep]
-        if codes.size:
-            bases = np.einsum("d,dp->p", tally.weights[:depth + 1], digits)
-            _count_subtrees(tally, depth + 1, codes, bases, start, stop)
 
 
 def solutions_in_range(
@@ -669,8 +626,9 @@ def solutions_in_range(
     emitted: returns ``int64`` counts, entry ``b`` counting the solutions
     whose encoding lies in ``[b * width, (b + 1) * width)`` for ``width =
     q**nvars // buckets`` (for a family's system, one bucket per member).
-    A surviving prefix counts as the size of its free subtree; only the
-    first and last subtree of the range can be cut.
+    A surviving prefix counts as the size of its free subtree, once the
+    frontier is past the last poly and at the depth where the range's
+    bounds fall between subtrees: an unaligned range grows to the leaves.
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
@@ -693,24 +651,25 @@ def solutions_in_range(
     levels, last = compiled.levels, compiled.last
     weights, free, table = compiled.weights, compiled.free, compiled.table
     row = tables["codes"]
-    # Counting, a last level solved on the parent prefixes is counted
-    # there, without its children, unless it assigns a bucket's digit.
-    early = (buckets is not None and last > 0
-             and levels[last].linear is not None
-             and weights[last - 1] < tally.width)
+    target = last
+    if buckets is not None:
+        # a last level solved on the parent prefixes is counted there,
+        # without its children, unless it assigns a bucket's digit
+        early = (last > 0 and levels[last].linear is not None
+                 and weights[last - 1] < tally.width)
+        target = max(last - early, _aligned(q, n, start, stop))
     parts, found = [], 0
     for depth, codes, digits in _frontiers(system, compiled, tables,
-                                           start, stop, chunk,
-                                           last - early):
+                                           start, stop, chunk, target):
         # the remaining digits are free: a prefix's encodings are its base
         # plus those of every free suffix
         bases = _bases(system, weights, q, depth, codes, digits)
-        if depth < last:
-            _count_last(tally, depth, levels[last], tables, codes, digits,
-                        bases, start, stop, chunk)
-            continue
         if buckets is not None:
-            _count_subtrees(tally, depth, codes, bases, start, stop)
+            if depth < last:
+                _count_last(tally, depth, levels[last], tables, digits,
+                            bases, chunk)
+            else:
+                _add_subtrees(tally, depth, bases)
             continue
         for d in range(depth, free):
             if limit is not None:

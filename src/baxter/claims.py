@@ -231,12 +231,6 @@ def _selected(algebras, name: str, workers) -> list[list[Tensor2]]:
             for L, (report,) in zip(algebras, reports)]
 
 
-def _members(algebra, name: str, workers) -> list[Tensor2]:
-    """The tensors the selector ``name`` selects in ``algebra``, ascending."""
-    (members,) = _selected([algebra], name, workers)
-    return members
-
-
 def _transvections(f: Field, n: int) -> list[BasisChange]:
     """The changes ``I + E_ij`` (i != j), which generate GL_n(GF(2))."""
     zero, one = f.zero(), f.one()

@@ -40,10 +40,12 @@ Sweeps are deterministic: a compiled system without polys is the whole
 space and is counted (or listed, within ``chunk``) in the calling process
 without a kernel call.  A sweep larger than its ``chunk`` runs every other
 compiled system in the variable order :func:`baxter._kernel.plan` picks
-for it, cut into equal ranges of that order's search codes, one per
+for it, cut into ranges of that order's search codes, one per
 ``_BLOCK_WORK`` units of the plan's summed work estimate and at most
-``_BLOCKS``, whatever the worker count.  The chosen orders, their
-estimated costs and the block count go to the ``baxter`` logger at DEBUG.
+``_BLOCKS``, whatever the worker count.  Each range is a run of whole
+subtrees of the top levels, equal to within one subtree, and the kernel
+counts every one of them whole.  The chosen orders, their estimated
+costs and the block count go to the ``baxter`` logger at DEBUG.
 With ``workers > 1`` (default from the ``YBE_WORKERS`` environment
 variable) the calling process and ``workers - 1`` helper processes,
 started on first use and kept for later sweeps, share the ranges; a
@@ -424,10 +426,12 @@ class SweepSpec:
     limit: int | None = None
 
 
-# A sweep larger than ``chunk`` is cut into one equal range of search codes
-# per ``_BLOCK_WORK`` units of :func:`plan`'s estimate for its systems, at
-# most ``_BLOCKS``, whatever the worker count; the ranges' results are
-# joined in order.  Measured on a 2-vCPU Xeon VM, medians of 7: a kernel
+# A sweep larger than ``chunk`` is cut into one range of search codes per
+# ``_BLOCK_WORK`` units of :func:`plan`'s estimate for its systems, at most
+# ``_BLOCKS``, whatever the worker count; the ranges' results are joined in
+# order.  A range is a run of at least ``_SUBTREES`` whole subtrees of one
+# depth, so the kernel counts it whole and ranges differ by at most an
+# eighth.  Measured on a 2-vCPU Xeon VM, medians of 7: a kernel
 # call costs 0.2-0.4 ms however small its range (the GF(5) dim-3
 # strongly-symmetric system, 3.9e4 units, takes 0.6 ms in one call and
 # 8 ms in 32), and 1e6 units take 3-6 ms (one whole-space call: GF(8)
@@ -436,6 +440,7 @@ class SweepSpec:
 # of its work.
 _BLOCKS = 32
 _BLOCK_WORK = 1e6
+_SUBTREES = 8
 # A scan for a side's first solutions (:func:`_first`) holds at most this
 # many frontier entries per kernel step, or its batch if that is larger:
 # at ``chunk`` (2**20 by default) a step grows the frontier across the
@@ -754,8 +759,10 @@ def _blocks(sides: dict, total: int, chunk: int) -> tuple:
     A sweep within ``chunk`` is one block of its systems as they are.  A
     larger one runs every system in the variable order
     :func:`baxter._kernel.plan` picks for it, cut into
-    ``min(_BLOCKS, ceil(W / _BLOCK_WORK))`` equal ranges of search codes,
-    where ``W`` sums each system's estimate for its chosen order.
+    ``min(_BLOCKS, ceil(W / _BLOCK_WORK))`` ranges of search codes, where
+    ``W`` sums each system's estimate for its chosen order.  A range is a
+    run of whole subtrees of the shallowest depth with ``_SUBTREES`` per
+    range, so its bounds never make the kernel grow a count past it.
     """
     systems = _systems(sides)
     if total <= chunk or not systems:
@@ -772,7 +779,11 @@ def _blocks(sides: dict, total: int, chunk: int) -> tuple:
                    f" natural {natural:.3g} greedy {greedy:.3g}"
                    for system, (run, natural, greedy) in zip(systems, planned)
                ), work, blocks)
-    return runs, tuple(total * k // blocks for k in range(blocks + 1)), chunk
+    unit = total  # the codes of one subtree at the cut depth
+    while unit > 1 and total // unit < _SUBTREES * blocks:
+        unit //= runs[0].order
+    return runs, tuple(total // unit * k // blocks * unit
+                       for k in range(blocks + 1)), chunk
 
 
 def _task(sides: dict, total: int, chunk: int, members: int,

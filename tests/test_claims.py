@@ -345,11 +345,11 @@ def _lemma211_reference(family, xs=(0, 1, 2)):
     members)`` per (reading, x), and the diagonal failure notes in loop
     order."""
     from baxter import bialgebra, ybe
-    from baxter.claims import _members
+    from baxter.claims import _selected
 
     f = family.field
     members = family.members()
-    ims = _members(members[0], "im-one-minus-tau", 1)
+    ims = _selected([members[0]], "im-one-minus-tau", 1)[0]
     failed = {(mode, x): [] for mode in ("diagonal", "cube") for x in xs}
     notes = []
     for k, L in enumerate(members):

@@ -618,6 +618,82 @@ def test_sweep_cut_into_blocks_by_its_estimated_work(monkeypatch):
     assert report["classifier_count"] == 125
 
 
+@pytest.mark.parametrize("blocks", [3, 5, 7, 32])
+def test_planned_blocks_are_runs_of_whole_subtrees(f2, f4, f8, monkeypatch,
+                                                   blocks):
+    # Each bound is a multiple of q**(N - d), for the shallowest depth d
+    # with at least 8 subtrees per block, so the kernel counts a block
+    # without growing past d; the blocks cover 0 to total and differ by at
+    # most one subtree in eight.
+    from dataclasses import replace
+
+    from baxter import field, parse_algebra, search
+    from baxter.algebra import Family
+
+    f5 = field(5)
+    specs = [
+        SweepSpec(algebra=Family("bd", f2), predicate="cybe"),
+        SweepSpec(algebra=make_family_ab(f4, f4.one(), f4.one()),
+                  predicate="cybe", classifier="symmetric"),
+        SweepSpec(algebra=parse_algebra("field gf(5)\ndim 3\n"),
+                  predicate="symmetric", classifier="strongly-symmetric"),
+        SweepSpec(algebra=make_dim2(f5, "nonabelian"), predicate="cybe",
+                  classifier="symmetric"),
+        SweepSpec(algebra=make_family_ab(f8, f8.one(), f8.one()),
+                  predicate="cybe", classifier="alpha-beta-symmetric"),
+    ]
+    _pin_blocks(monkeypatch, blocks=blocks)
+    for spec in specs:
+        algebra = spec.algebra
+        q, n = algebra.field.q, search._lead(algebra) + algebra.dim ** 2
+        total = q ** n
+        _, bounds, _ = search._plan_sweep(replace(spec, chunk=64)).task
+        cut = next((d for d in range(n + 1) if q ** d >= 8 * blocks), n)
+        assert len(bounds) == blocks + 1
+        assert bounds[0] == 0 and bounds[-1] == total
+        assert all(bound % q ** (n - cut) == 0 for bound in bounds), (q, n)
+        sizes = np.diff(bounds)
+        assert 8 * (sizes.max() - sizes.min()) <= sizes.min(), (q, sizes)
+
+
+def test_counted_side_in_odd_characteristic_over_pinned_blocks(
+        monkeypatch):
+    # Over GF(5) the abelian dim-3 algebra has 5**6 = 15,625 symmetric
+    # tensors, more than the chunk, so that side is counted, block by
+    # block: any block count and worker count gives the same report.
+    from baxter import parse_algebra, search
+
+    L = parse_algebra("field gf(5)\ndim 3\n")
+    spec = dict(algebra=L, predicate="symmetric",
+                classifier="strongly-symmetric", chunk=4096)
+    want = sweep(SweepSpec(workers=1, **spec)).canonical_json()
+    report = json.loads(want)
+    assert report["predicate_count"] == 5 ** 6 > spec["chunk"]
+    assert report["classifier_count"] == 125
+    counted = []
+    real = search.solutions_in_range
+
+    def spy(system, start, stop, chunk, **kwargs):
+        if "buckets" in kwargs:
+            counted.append((start, stop))
+        return real(system, start, stop, chunk, **kwargs)
+
+    for blocks in (3, 5, 7):
+        with monkeypatch.context() as patch:
+            tasks = _pin_blocks(patch, blocks=blocks)
+            patch.setattr(search, "solutions_in_range", spy)
+            counted.clear()
+            assert sweep(SweepSpec(workers=1, **spec)).canonical_json() \
+                == want
+            assert len(counted) >= blocks
+            search._helpers(0).close()  # helpers forked below are unpatched
+            assert sweep(SweepSpec(workers=2, **spec)).canonical_json() \
+                == want
+            # the sides' blocks, then those of the conjoined count
+            assert [len(bounds) - 1 for _, bounds, _
+                    in _block_tasks(tasks)] == [blocks, blocks]
+
+
 # -- a family swept as one system ------------------------------------------
 
 _GENERIC = [name for name in SELECTOR_NAMES
