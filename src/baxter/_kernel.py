@@ -21,12 +21,10 @@ root ``-c / a``), all ``q`` (every ``a`` and ``c`` zero) or none.  Any
 other level expands every prefix into its ``q`` children and prunes them
 one poly at a time through q-by-q multiplication tables (with the
 coefficient fused into the first pairwise product), XOR or an addition
-table.  Once no polynomial is left, the remaining digits are free: each
-surviving prefix emits its whole subtree in one pass, as its *base* (the
-weighted sum of its assigned digits) plus a table of the free digits'
-encodings, built once per compiled system.  The table covers at most
-``_FREE_TABLE`` codes; free digits beyond it are first assigned to the
-bases, one digit at a time.
+table.  A listing grows the frontier to the leaves: a level past the
+last poly keeps every child, and the leaves' search codes map to tensor
+encodings.  A prefix that fails an early poly never has its subtree
+enumerated.
 
 The kernel can also count instead of listing: a surviving prefix past
 the last poly then counts as the size of its free subtree, per bucket of
@@ -36,13 +34,15 @@ subtrees, so every prefix there counts whole: a sweep's blocks are runs
 of whole subtrees of the top levels, and an unaligned range costs growth
 down to the depth of its bounds.  A last level solved on the parent
 prefixes is counted there from each parent's number of roots, without
-its children.  A listing can stop after its first ``limit`` solutions.
+its children.  A listing can stop after its first ``limit`` solutions:
+past the last poly every leaf solves, so each level keeps only the
+prefixes whose subtrees can hold them.
 :func:`satisfied` tests given encodings against a system, all at once.
 
 Variables are assigned in the system's ``var_order``, natural (the tensor
 encoding's own digit order) by default; the prefixes are then *search
-codes*, and the weights of the bases and the table map each call's
-survivors to tensor encodings.
+codes*, and each depth's encoding weight maps a prefix to its *base*,
+the encoding with its unassigned digits zero.
 :func:`plan` picks the order for a system: the natural order or the
 fail-first greedy order (next the variable that closes the most polys),
 whichever a sampled estimate of the kernel's work favours; greedy must
@@ -75,11 +75,6 @@ _MAX_ORDER = 256  # digit arrays are uint8
 # and _MAX_FACTORS of it still fit.
 _ZERO_LOG = 1 << 12
 _MAX_FACTORS = 15
-# The free digits past a system's last poly are emitted as each surviving
-# prefix's base plus a table of their encodings.  The table covers at most
-# this many codes, whatever ``chunk`` is; free digits that it does not
-# cover are first assigned to the prefixes, without their digit rows.
-_FREE_TABLE = 1 << 12
 
 
 class CompiledSystem(NamedTuple):
@@ -176,8 +171,7 @@ def _tables(system: CompiledSystem) -> dict:
     cached = {"q": q, "p": f.p, "m": f.m, "mul": mul, "add": add,
               "fold": {}, "lo": lo.ravel(), "hi": hi.ravel(), "log": log,
               "exp": exp, "planes": {},
-              "digits": np.arange(q, dtype=np.uint8),
-              "codes": np.arange(q, dtype=np.uint64)}
+              "digits": np.arange(q, dtype=np.uint8)}
     _TABLES[key] = cached
     return cached
 
@@ -282,17 +276,16 @@ class _Compiled(NamedTuple):
     levels: tuple  # per depth, the _Level of the polys it closes, or None
     last: int  # the deepest depth that has polys
     weights: np.ndarray  # per depth, the encoding weight of its variable
-    free: int  # the first depth whose digit ``table`` covers
-    table: np.ndarray  # the encodings of the digits from ``free`` on
 
 
 @functools.lru_cache(maxsize=16)
 def _compile(system: CompiledSystem) -> _Compiled:
     """Per depth, the :class:`_Level` of the polys whose last variable that
     depth assigns (None where there are none; depth 0 holds the constant
-    polys), and what emits the free digits past the deepest of them.
-    Cached by the system's value, so a system with other polys or another
-    order compiles anew."""
+    polys), the deepest depth that has polys, and each depth's encoding
+    weight.  Nothing is built for the digits past the last poly: a listing
+    grows the frontier to the leaves.  Cached by the system's value, so a
+    system with other polys or another order compiles anew."""
     n = system.nvars
     order = system.var_order
     if order is not None and sorted(order) != list(range(n)):
@@ -320,13 +313,7 @@ def _compile(system: CompiledSystem) -> _Compiled:
     last = max((d for d, level in enumerate(levels) if level), default=0)
     weights = np.array([q ** (n - 1 - v) for v in order or range(n)],
                        dtype=np.uint64)
-    free = last
-    while q ** (n - free) > _FREE_TABLE:
-        free += 1
-    table = np.zeros(1, dtype=np.uint64)
-    for depth in range(free, n):
-        table = _grow(table, weights[depth], tables["codes"])
-    return _Compiled(tuple(levels), last, weights, free, table)
+    return _Compiled(tuple(levels), last, weights)
 
 
 def _prune(polys, tables: dict, char2: bool, codes, digits):
@@ -450,12 +437,6 @@ def _step(level, tables: dict, char2: bool, depth: int, codes, digits):
     return codes, digits, work
 
 
-def _grow(values: np.ndarray, weight, row: np.ndarray) -> np.ndarray:
-    """Each of ``values`` plus ``weight`` times each digit of ``row``, in
-    that order."""
-    return np.add.outer(values, weight * row).ravel()
-
-
 def _meeting(codes: np.ndarray, width: int, start: int, stop: int) -> slice:
     """The ascending prefixes whose subtrees of ``width`` codes meet
     ``[start, stop)``."""
@@ -466,23 +447,9 @@ def _meeting(codes: np.ndarray, width: int, start: int, stop: int) -> slice:
     return slice(None)
 
 
-def _emit(codes: np.ndarray, bases: np.ndarray, table: np.ndarray,
-          start: int, stop: int) -> np.ndarray:
-    """Every encoding under the given prefixes, clipped to ``[start, stop)``:
-    a prefix's subtree is its base plus each entry of ``table``.
-
-    The prefixes are ascending and each one's subtree meets the range, so
-    only the first and last subtree can be cut.
-    """
-    width = table.size
-    out = np.add.outer(bases, table).ravel()
-    head = max(start - int(codes[0]) * width, 0)
-    tail = max((int(codes[-1]) + 1) * width - stop, 0)
-    return out[head:out.size - tail]
-
-
 def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
-               start: int, stop: int, chunk: int, target: int):
+               start: int, stop: int, chunk: int, target: int,
+               limit: int | None):
     """The prefixes at depth ``target`` whose subtrees meet ``[start,
     stop)``, as ``(depth, codes, digits)`` pieces in ascending search-code
     order.
@@ -490,11 +457,18 @@ def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
     A frontier whose next level would hold more than ``chunk`` entries
     (``q`` children, or one per term of a linear level, per prefix) is
     halved first and the halves are grown depth first.
+
+    With ``limit``, growing to the leaves (``target`` is ``nvars``) stops
+    once the pieces hold ``limit`` leaves.  Past the last poly every leaf
+    solves, so each level there keeps only its first ``ceil(left / q**(n
+    - depth)) + 1`` prefixes, ``left`` being the leaves still wanted: only
+    the first prefix's subtree can be cut by ``start``.
     """
-    levels = compiled.levels
+    levels, last = compiled.levels, compiled.last
     q = tables["q"]
     n = system.nvars
     char2 = system.p == 2
+    left = limit
     stack = [(0, np.zeros(1, dtype=np.uint64),
               np.empty((0, 1), dtype=np.uint8))]
     while stack:
@@ -510,25 +484,28 @@ def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
             codes, digits, _ = _step(level, tables, char2, depth,
                                      codes, digits)
             depth += 1
-            keep = _meeting(codes, q ** (n - depth), start, stop)
+            span = q ** (n - depth)
+            keep = _meeting(codes, span, start, stop)
             codes, digits = codes[keep], digits[:, keep]
+            if left is not None and depth >= last:
+                keep = slice(-(-left // span) + 1)
+                codes, digits = codes[keep], digits[:, keep]
         if codes.size:
             yield depth, codes, digits
+            if left is not None:
+                left -= codes.size
+                if left <= 0:
+                    return
 
 
 def _bases(system: CompiledSystem, weights: np.ndarray, q: int, depth: int,
            codes: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """The encoding of each prefix with its free digits zero: the weighted
-    sum of its assigned digits."""
+    """The encoding of each prefix with its unassigned digits zero: the
+    weighted sum of its assigned digits.  At depth ``nvars`` a prefix is a
+    leaf, and this is its encoding."""
     if system.var_order is None:  # the search code is the encoding's prefix
         return codes * np.uint64(q ** (system.nvars - depth))
     return np.einsum("d,dp->p", weights[:depth], digits)
-
-
-def _first_prefixes(want: int, span: int) -> slice:
-    """The ascending prefixes of subtrees of ``span`` codes that can hold
-    the first ``want`` codes of a range: the first may be cut."""
-    return slice(-(-want // span) + 1)
 
 
 class _Tally(NamedTuple):
@@ -610,16 +587,17 @@ def solutions_in_range(
     over a frontier of surviving prefixes.  A level whose polys are all
     linear in its variable is solved on the parent prefixes; any other
     level expands every prefix into its ``q`` children and prunes them one
-    poly at a time.  Once no poly is left, each prefix's subtree is emitted
-    as its base plus the table of free encodings.  A frontier whose next
-    level would hold more than ``chunk`` entries (``q`` children, or one
-    per term of a linear level, per prefix) is halved first and the halves
-    are grown depth first, so peak memory stays ``O(chunk * nvars)`` bytes
-    plus the output, however large the range (a single prefix always
-    expands).
+    poly at a time.  The frontier grows to the leaves, and their search
+    codes map to encodings; a prefix that fails an early poly never has
+    its subtree enumerated.  A frontier whose next level would hold more
+    than ``chunk`` entries (``q`` children, or one per term of a linear
+    level, per prefix) is halved first and the halves are grown depth
+    first, so peak memory stays ``O(chunk * nvars)`` bytes plus the
+    output, however large the range (a single prefix always expands).
 
     With ``limit``, only the first ``limit`` solutions in search order are
-    returned, and the search stops once it has them.
+    returned, and the search stops once it has them: past the last poly,
+    each level keeps only the prefixes whose subtrees can hold them.
 
     With ``buckets`` (a power ``q**k`` of the field order, at most
     ``q**nvars``), the solutions are counted instead, and nothing is
@@ -648,52 +626,30 @@ def solutions_in_range(
     stop = min(stop, q ** n)
     if start >= stop or compiled.levels[0] is not None or limit == 0:
         return tally.counts if buckets is not None else np.empty(0, np.uint64)
-    levels, last = compiled.levels, compiled.last
-    weights, free, table = compiled.weights, compiled.free, compiled.table
-    row = tables["codes"]
-    target = last
+    levels, last, weights = compiled.levels, compiled.last, compiled.weights
+    target = n
     if buckets is not None:
         # a last level solved on the parent prefixes is counted there,
         # without its children, unless it assigns a bucket's digit
         early = (last > 0 and levels[last].linear is not None
                  and weights[last - 1] < tally.width)
-        target = max(last - early, _aligned(q, n, start, stop))
-    parts, found = [], 0
-    for depth, codes, digits in _frontiers(system, compiled, tables,
-                                           start, stop, chunk, target):
-        # the remaining digits are free: a prefix's encodings are its base
-        # plus those of every free suffix
+        target, limit = max(last - early, _aligned(q, n, start, stop)), None
+    parts = []
+    for depth, codes, digits in _frontiers(system, compiled, tables, start,
+                                           stop, chunk, target, limit):
         bases = _bases(system, weights, q, depth, codes, digits)
-        if buckets is not None:
-            if depth < last:
-                _count_last(tally, depth, levels[last], tables, digits,
-                            bases, chunk)
-            else:
-                _add_subtrees(tally, depth, bases)
-            continue
-        for d in range(depth, free):
-            if limit is not None:
-                keep = _first_prefixes(limit - found, q ** (n - d))
-                codes, bases = codes[keep], bases[keep]
-            codes = _grow(codes * np.uint64(q), 1, row)
-            bases = _grow(bases, weights[d], row)
-            keep = _meeting(codes, q ** (n - d - 1), start, stop)
-            codes, bases = codes[keep], bases[keep]
-        if limit is not None:
-            keep = _first_prefixes(limit - found, table.size)
-            codes, bases = codes[keep], bases[keep]
-        part = _emit(codes, bases, table, start, stop)
-        if limit is not None:
-            part = part[:limit - found]
-        parts.append(part)
-        found += part.size
-        if found == limit:
-            break
+        if buckets is None:
+            parts.append(bases)
+        elif depth < last:
+            _count_last(tally, depth, levels[last], tables, digits, bases,
+                        chunk)
+        else:
+            _add_subtrees(tally, depth, bases)
     if buckets is not None:
         return tally.counts
     if len(parts) == 1:  # concatenating one part would copy it
-        return parts[0]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+        return parts[0][:limit]
+    return np.concatenate(parts)[:limit] if parts else np.empty(0, np.uint64)
 
 
 def satisfied(system: CompiledSystem, codes: np.ndarray) -> np.ndarray:

@@ -384,8 +384,8 @@ def test_count_mode_equals_the_listing_cut_by_bucket(q, kind, name, greedy):
 
 def test_count_mode_spreads_free_parameters_over_their_members(f2):
     # Strong symmetry does not read the parameters, so greedy order leaves
-    # them free past the last poly: one free subtree (and the listing's
-    # free table, at most 4096 codes) spans all four 512-code members.
+    # them free past the last poly: one free subtree spans all four
+    # 512-code members.
     from baxter._kernel import _greedy_order
 
     system = _family_system(f2, "ab", "strongly-symmetric")
@@ -393,7 +393,6 @@ def test_count_mode_spreads_free_parameters_over_their_members(f2):
     compiled = _compile(system)
     depths = [system.var_order.index(v) for v in (0, 1)]
     assert min(depths) >= compiled.last
-    assert compiled.table.max() >= 512
     for start, stop in ((0, 2048), (300, 1700), (511, 513)):
         _assert_counts(system, start, stop, 7)
     got = solutions_in_range(system, 0, 2048, buckets=4)
@@ -404,7 +403,8 @@ def test_count_mode_counts_a_last_linear_level_on_its_parents(
         f4, monkeypatch):
     # GF(4) ab(1,1) CYBE in greedy order closes its last poly on a linear
     # level: counting takes each parent's number of roots there instead of
-    # growing the children, except for the two parents a range can cut.
+    # growing the children.  Only the aligned range (0, 4**9) does so; the
+    # other two cut subtrees, so they grow to the leaves.
     from baxter import _kernel
 
     system, _, _ = plan(compile_selector(make_family_ab(f4, f4.one(),
@@ -462,7 +462,8 @@ def test_limit_stops_once_it_has_the_solutions(f8):
         tracemalloc.stop()
     assert got.tolist() == [5, 6, 7, 8]
     assert peak < 1 << 20
-    # one free table's worth from a cut first subtree needs the next one
+    # 8**4 solutions from a first subtree cut by the start need the next
+    # subtree too
     got = solutions_in_range(system, 5, 8 ** 9, limit=8 ** 4)
     assert got.tolist() == list(range(5, 5 + 8 ** 4))
     assert solutions_in_range(system, 0, 8 ** 9, buckets=8).tolist() == [

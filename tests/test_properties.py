@@ -156,12 +156,12 @@ def test_kernel_matches_reference_evaluator(data):
             assert member(r) == (code in kept), (name, code)
 
 
-# Greedy-order systems whose digits past the last poly are free, on both
-# sides of the table bound: (beta, delta, selector, last poly's depth, depth
-# from which the offset table covers the digits).  GF(4) bd(0,1)'s case
-# polys close at depth 4, so the table holds all 4**5 free encodings;
-# bd(0,0)'s printed coboundary condition closes at depth 2, and the 4**7
-# free encodings exceed the table, so digit 3 is assigned first.
+# Greedy-order systems whose digits past the last poly are free: (beta,
+# delta, selector, last poly's depth, first depth whose subtrees hold at
+# most 4**6 codes; the last field only names the case).  GF(4) bd(0,1)'s
+# case polys close at depth 4, so a prefix there has 4**5 free encodings;
+# bd(0,0)'s printed coboundary condition closes at depth 2, with 4**7 free
+# encodings per prefix.
 FREE_CASES = (
     (0, 1, "prop16-case", 4, 4),
     (0, 0, "bd-printed-coboundary", 2, 3),
@@ -177,29 +177,38 @@ def test_free_subtrees_match_reference_evaluator(beta, delta, name, last,
         make_family_bd(f, f.element(beta), f.element(delta)), name)
     system = system._replace(var_order=_greedy_order(system))
     compiled = _compile(system)
-    assert (compiled.last, compiled.free) == (last, free)
+    assert compiled.last == last
     width = 4 ** (9 - last)  # the codes under one prefix at depth ``last``
     # the prefix of the first solution's search code
     prefix = next(c for c in range(4 ** 9)
                   if evaluate_code(system, _encoding(c, system.var_order, 4)))
     prefix //= width
     # inside one free subtree, cut at both ends; then two whole subtrees
-    # and a part of each neighbour
+    # and a part of each neighbour; then 4**7 codes from inside it, where
+    # prop16-case's solutions fill a quarter of each subtree at depth 3, so
+    # a limit must not trim the prefixes above the last poly's depth
     for start, stop in ((prefix * width + width // 3,
                          prefix * width + 2 * width // 3),
                         (max(0, (prefix - 1) * width + width // 2),
-                         (prefix + 2) * width + width // 2)):
+                         (prefix + 2) * width + width // 2),
+                        (prefix * width + width // 3,
+                         prefix * width + width // 3 + 4 ** 7)):
         got = solutions_in_range(system, start, stop, chunk).tolist()
         codes = [_encoding(c, system.var_order, 4) for c in range(start, stop)]
-        assert got == [e for e in codes if evaluate_code(system, e)]
+        want = [e for e in codes if evaluate_code(system, e)]
+        assert got == want
         assert got
+        # the first k solutions of the range
+        for k in (1, 5, len(want) - 1, len(want) + 1):
+            got = solutions_in_range(system, start, stop, chunk, limit=k)
+            assert got.tolist() == want[:k], k
 
 
 def test_free_digits_past_the_table_grow_only_inside_the_range():
     # Over GF(8), bd(0,0)'s printed coboundary condition closes at depth 2
-    # of the greedy order: a prefix there has 8**7 free codes, and the
-    # table covers 8**4.  A range of 100 codes inside one such subtree
-    # emits one table's worth, not the 16 MB of the whole subtree.
+    # of the greedy order: a prefix there has 8**7 free codes.  A range of
+    # 100 codes inside one such subtree grows only the prefixes that meet
+    # it, not the 16 MB of the whole subtree.
     import tracemalloc
 
     f = field(2, 3, 0b1011)
@@ -207,7 +216,7 @@ def test_free_digits_past_the_table_grow_only_inside_the_range():
                               "bd-printed-coboundary")
     system = system._replace(var_order=_greedy_order(system))
     compiled = _compile(system)
-    assert (compiled.last, compiled.free) == (2, 5)
+    assert compiled.last == 2
     start, stop = 3 * 8 ** 6 + 12345, 3 * 8 ** 6 + 12445
     solutions_in_range(system, start, stop)  # compile and cache first
     tracemalloc.start()
