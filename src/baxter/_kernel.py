@@ -11,17 +11,17 @@ Evaluation grows big-endian prefixes one variable at a time over a numpy
 frontier of surviving prefixes and their digits.  Each system is compiled
 once into levels, one per variable, holding the polys whose last variable
 that level assigns; the compiled levels are cached by the system's value.
-A level whose polys all have degree at most 1 in its variable is *linear*:
-each poly there is ``a * x + c`` with ``a`` and ``c`` in earlier variables,
-so it is solved on the parent prefixes.  Every monomial is one lookup of
-its factors' summed discrete logs, each ``a`` and ``c`` is one segmented
-sum over the monomial rows (XOR in characteristic 2, integer lanes
-reduced mod p otherwise), and each parent keeps one child (the common
-root ``-c / a``), all ``q`` (every ``a`` and ``c`` zero) or none.  Any
-other level expands every prefix into its ``q`` children and prunes them
-one poly at a time through q-by-q multiplication tables (with the
-coefficient fused into the first pairwise product), XOR or an addition
-table.  A listing grows the frontier to the leaves: a level past the
+Polys are evaluated only through gather rows: every monomial is one lookup
+of its factors' summed discrete logs, and every target (a sum of
+monomials) is one segmented sum over its rows, XOR in characteristic 2
+and integer lanes reduced mod p otherwise.  A level's polys of degree at
+most 1 in its variable ``x`` are ``a * x + c`` with ``a`` and ``c`` in
+earlier variables, so they are solved on the parent prefixes: each parent
+keeps one child (the common root ``-c / a``), all ``q`` (every ``a`` and
+``c`` zero) or none.  A level without such polys expands every prefix
+into its ``q`` children.  The level's other polys are then evaluated on
+the surviving children in one gather, and a child is kept where they all
+vanish.  A listing grows the frontier to the leaves: a level past the
 last poly keeps every child, and the leaves' search codes map to tensor
 encodings.  A prefix that fails an early poly never has its subtree
 enumerated.
@@ -33,11 +33,11 @@ grows a range at least to the depth where its bounds fall between
 subtrees, so every prefix there counts whole: a sweep's blocks are runs
 of whole subtrees of the top levels, and an unaligned range costs growth
 down to the depth of its bounds.  A last level solved on the parent
-prefixes is counted there from each parent's number of roots, without
-its children.  A listing can stop after its first ``limit`` solutions:
-past the last poly every leaf solves, so each level keeps only the
-prefixes whose subtrees can hold them.
-:func:`satisfied` tests given encodings against a system, all at once.
+prefixes, with no other polys, is counted there from each parent's number
+of roots, without its children.  A listing can stop after its first
+``limit`` solutions: past the last poly every leaf solves, so each level
+keeps only the prefixes whose subtrees can hold them.  :func:`satisfied`
+tests given encodings against a system in one gather of all its polys.
 
 Variables are assigned in the system's ``var_order``, natural (the tensor
 encoding's own digit order) by default; the prefixes are then *search
@@ -70,9 +70,10 @@ __all__ = [
 ]
 
 _MAX_ORDER = 256  # digit arrays are uint8
-# Products are looked up by the sum of their factors' discrete logs in
-# uint16: zero's log exceeds any sum of up to _MAX_FACTORS nonzero logs,
-# and _MAX_FACTORS of it still fit.
+# Products are looked up by the sum of their coefficient's and factors'
+# discrete logs in uint16: zero's log exceeds any sum of up to _MAX_FACTORS
+# nonzero logs, and _MAX_FACTORS of it still fit, so a monomial has fewer
+# than _MAX_FACTORS factors.
 _ZERO_LOG = 1 << 12
 _MAX_FACTORS = 15
 
@@ -99,7 +100,9 @@ def compile_polys(ring, polys: Iterable) -> CompiledSystem:
     """Freeze symbolic polynomials into a picklable system.
 
     Identically-zero polynomials are dropped and duplicates are kept once,
-    preserving first-occurrence order.
+    preserving first-occurrence order.  A monomial of ``_MAX_FACTORS`` or
+    more factors is rejected: its product would not fit the kernel's
+    summed discrete logs.
     """
     base = ring.base
     if base.q > _MAX_ORDER:
@@ -118,6 +121,10 @@ def compile_polys(ring, polys: Iterable) -> CompiledSystem:
         if normalized in seen:
             continue
         seen.add(normalized)
+        g = max(map(len, poly.terms))
+        if g >= _MAX_FACTORS:
+            raise ValueError(f"vectorized evaluation supports monomials of"
+                             f" fewer than {_MAX_FACTORS} factors, got {g}")
         out.append(tuple((coeff, vs) for vs, coeff in normalized))
     return CompiledSystem(base.p, base.m, base.modulus, ring.nvars, tuple(out))
 
@@ -140,14 +147,6 @@ def _tables(system: CompiledSystem) -> dict:
             v = f.mul_i(x, y)
             mul[x, y] = v
             mul[y, x] = v
-    add = None
-    if f.p != 2:
-        add = np.zeros((q, q), dtype=np.uint8)
-        for x in range(q):
-            for y in range(x, q):
-                v = f.add_i(x, y)
-                add[x, y] = v
-                add[y, x] = v
     # The roots of a*x + c, indexed a*q + c, as the bounds (lo, hi) of an
     # interval of digits: one root is lo == hi, every digit is lo > hi and
     # no digit is lo < hi, so intersecting polys is min of lo, max of hi.
@@ -168,9 +167,8 @@ def _tables(system: CompiledSystem) -> dict:
     log[powers] = np.arange(q - 1)
     exp = np.zeros(1 << 16, dtype=np.uint8)
     exp[:_ZERO_LOG] = powers[np.arange(_ZERO_LOG) % (q - 1)]
-    cached = {"q": q, "p": f.p, "m": f.m, "mul": mul, "add": add,
-              "fold": {}, "lo": lo.ravel(), "hi": hi.ravel(), "log": log,
-              "exp": exp, "planes": {},
+    cached = {"q": q, "p": f.p, "m": f.m, "lo": lo.ravel(),
+              "hi": hi.ravel(), "log": log, "exp": exp, "planes": {},
               "digits": np.arange(q, dtype=np.uint8)}
     _TABLES[key] = cached
     return cached
@@ -199,57 +197,42 @@ def _planes(tables: dict, lane) -> list:
     return cached
 
 
-def _fold_table(tables: dict, coeff: int) -> np.ndarray:
-    """q-by-q table of ``coeff * x * y``."""
-    tab = tables["fold"].get(coeff)
-    if tab is None:
-        row = tables["mul"][coeff]
-        tab = row[tables["mul"]]
-        tables["fold"][coeff] = tab
-    return tab
-
-
 # -- compiled levels ---------------------------------------------------------
 
 
-class _Linear(NamedTuple):
-    """Gather arrays of a level whose polys all have degree <= 1 in the
-    variable ``x`` it assigns, so poly ``i`` is ``a_i * x + c_i`` with
-    ``a_i`` and ``c_i`` in earlier variables.  Rows are monomials, grouped
-    by target: ``a_0 .. a_(k-1)``, then ``c_0 .. c_(k-1)``; a target
+class _Gather(NamedTuple):
+    """Gather arrays of targets, each a sum of monomials, to evaluate on a
+    frontier of prefixes.  Rows are monomials, grouped by target; a target
     without monomials gets one with coefficient zero.  Every row lists its
-    variables padded with ``x``; the evaluation reads ``x`` as a factor of
-    one, so a row of ``a_i`` yields the coefficient of ``x``."""
+    variables padded with the one past the prefixes' digits, which the
+    evaluation reads as a factor of one."""
 
-    npolys: int
+    npolys: int  # the polys whose values or coefficients the targets are
     logs: np.ndarray  # (M, 1) log of each row's coefficient
     factors: np.ndarray  # (G, M) the variables of each row
-    starts: np.ndarray  # (2k,) first row of each target
+    starts: np.ndarray  # (T,) first row of each target
     # outside characteristic 2, the unsigned type the sums fit in
     lane: type | None
 
 
 class _Level(NamedTuple):
-    polys: tuple  # with each variable renamed to the depth assigning it
-    linear: _Linear | None
-    width: int  # array entries the level holds per parent prefix
+    """The polys a depth closes, with each variable renamed to the depth
+    assigning it: those of degree at most 1 in its variable ``x``, solved
+    on the parent prefixes, and the others, evaluated on the children."""
+
+    linear: _Gather | None  # a_0 .. a_(k-1), then c_0 .. c_(k-1)
+    rest: _Gather | None  # one target per poly
+    # array entries the level holds per parent prefix: q children, one per
+    # row of ``linear``, or q per row of ``rest``, whichever is most
+    width: int
 
 
-def _linear(polys, x: int, tables: dict) -> _Linear | None:
-    """The gather arrays of a level assigning ``x``, or None when some poly
-    has degree above 1 in ``x`` or a monomial has too many factors."""
-    k = len(polys)
-    targets = [[] for _ in range(2 * k)]
-    for i, poly in enumerate(polys):
-        for coeff, vs in poly:
-            times = vs.count(x)
-            if times > 1:
-                return None
-            targets[i if times else k + i].append((coeff, vs))
-    g = max(len(vs) for rows in targets for _, vs in rows)
-    if g >= _MAX_FACTORS:
-        return None
-    pad = [(x,) * (g - j) for j in range(g + 1)]
+def _gather(targets, pad: int, tables: dict, npolys: int) -> _Gather:
+    """The gather arrays of ``targets``, lists of ``(coeff, vs)``
+    monomials, with every row's variables padded with ``pad``."""
+    g = max([len(vs) for rows in targets for _, vs in rows] + [1])
+    assert g < _MAX_FACTORS, "compile_polys refuses longer monomials"
+    fill = [(pad,) * (g - j) for j in range(g + 1)]
     coeffs, factors, counts = [], [], []
     for rows in targets:
         rows = rows or [(0, ())]
@@ -257,19 +240,31 @@ def _linear(polys, x: int, tables: dict) -> _Linear | None:
         for coeff, vs in rows:
             coeffs.append(coeff)
             factors += vs
-            factors += pad[len(vs)]
+            factors += fill[len(vs)]
     lane = None
     if tables["p"] != 2:
         most = (tables["p"] - 1) * max(counts)
         lane = next(t for t in (np.uint8, np.uint16, np.uint32)
                     if most <= np.iinfo(t).max)
-    return _Linear(
-        k,
+    return _Gather(
+        npolys,
         tables["log"].take(coeffs)[:, None],
         np.array(factors, dtype=np.intp).reshape(-1, g).T.copy(),
         np.fromiter(itertools.accumulate(counts[:-1], initial=0), np.intp),
         lane,
     )
+
+
+def _linear(polys, x: int, tables: dict) -> _Gather:
+    """The gather arrays of ``a_i`` and ``c_i`` for polys ``a_i * x + c_i``
+    of a level assigning ``x``, padded with ``x``: a row of ``a_i`` then
+    yields the coefficient of ``x``."""
+    k = len(polys)
+    targets = [[] for _ in range(2 * k)]
+    for i, poly in enumerate(polys):
+        for coeff, vs in poly:
+            targets[i if x in vs else k + i].append((coeff, vs))
+    return _gather(targets, x, tables, k)
 
 
 class _Compiled(NamedTuple):
@@ -303,51 +298,29 @@ def _compile(system: CompiledSystem) -> _Compiled:
     tables = _tables(system)
     q = tables["q"]
     levels = [None] * (n + 1)
-    for depth, polys in enumerate(by_depth):
-        if polys:
-            linear = _linear(polys, depth - 1, tables) if depth else None
-            width = q
-            if linear is not None:
-                width = max(q, linear.logs.size)
-            levels[depth] = _Level(tuple(polys), linear, width)
+    if by_depth[0]:  # nonzero constants: nothing solves
+        levels[0] = _Level(None, None, q)
+    for depth, polys in enumerate(by_depth[1:], 1):
+        if not polys:
+            continue
+        x = depth - 1
+        linear, rest = [], []  # degree at most 1 in x, and the others
+        for poly in polys:
+            degree = max(vs.count(x) for _, vs in poly)
+            (linear if degree <= 1 else rest).append(poly)
+        linear = _linear(linear, x, tables) if linear else None
+        rest = _gather(rest, depth, tables, len(rest)) if rest else None
+        width = max(q, 0 if linear is None else linear.logs.size,
+                    0 if rest is None else q * rest.logs.size)
+        levels[depth] = _Level(linear, rest, width)
     last = max((d for d, level in enumerate(levels) if level), default=0)
     weights = np.array([q ** (n - 1 - v) for v in order or range(n)],
                        dtype=np.uint64)
     return _Compiled(tuple(levels), last, weights)
 
 
-def _prune(polys, tables: dict, char2: bool, codes, digits):
-    """Keep the prefixes on which every poly in ``polys`` vanishes; also
-    returns the terms evaluated."""
-    mul = tables["mul"]
-    add = tables["add"]
-    terms = 0
-    for poly in polys:
-        if codes.size == 0:
-            break
-        terms += codes.size * len(poly)
-        acc = np.zeros(codes.size, dtype=np.uint8)
-        for coeff, vs in poly:
-            if not vs:
-                val = np.full(codes.size, coeff, dtype=np.uint8)
-            elif len(vs) == 1:
-                val = mul[coeff][digits[vs[0]]]
-            else:
-                val = _fold_table(tables, coeff)[digits[vs[0]], digits[vs[1]]]
-                for v in vs[2:]:
-                    val = mul[val, digits[v]]
-            if char2:
-                acc ^= val
-            else:
-                acc = add[acc, val]
-        keep = np.flatnonzero(acc == 0)
-        codes = codes[keep]
-        digits = digits[:, keep]
-    return codes, digits, terms
-
-
-def _coefficients(linear: _Linear, tables: dict, digits) -> np.ndarray:
-    """``a_i`` (rows ``i``) and ``c_i`` (rows ``k + i``) on every prefix.
+def _evaluate(gather: _Gather, tables: dict, digits) -> np.ndarray:
+    """The value of each of ``gather``'s targets on every prefix, as rows.
 
     Each monomial is one exp lookup of its factors' summed logs, and each
     target's monomials are summed over 8-byte words of the padded rows
@@ -356,33 +329,33 @@ def _coefficients(linear: _Linear, tables: dict, digits) -> np.ndarray:
     wide = -(-size // 8) * 8
     logs = np.zeros((depth + 1, wide), dtype=np.uint16)
     logs[:depth, :size] = tables["log"].take(digits)
-    idx = logs.take(linear.factors[0], axis=0)
-    idx += linear.logs
-    for row in linear.factors[1:]:
+    idx = logs.take(gather.factors[0], axis=0)
+    idx += gather.logs
+    for row in gather.factors[1:]:
         idx += logs.take(row, axis=0)
-    if linear.lane is None:
+    if gather.lane is None:
         val = tables["exp"].take(idx)
-        acc = np.bitwise_xor.reduceat(val.view(np.uint64), linear.starts,
+        acc = np.bitwise_xor.reduceat(val.view(np.uint64), gather.starts,
                                       axis=0).view(np.uint8)
         return acc[:, :size]
     acc = None
-    for exp, weight in _planes(tables, linear.lane):
+    for exp, weight in _planes(tables, gather.lane):
         val = exp.take(idx)
-        part = np.add.reduceat(val.view(np.uint64), linear.starts,
-                               axis=0).view(linear.lane)
+        part = np.add.reduceat(val.view(np.uint64), gather.starts,
+                               axis=0).view(gather.lane)
         part %= tables["p"]
         part *= weight
         acc = part if acc is None else acc + part
     return acc[:, :size].astype(np.uint8)
 
 
-def _roots(linear: _Linear, tables: dict, digits):
-    """Per prefix, the digits where every poly of a linear level vanishes,
+def _roots(linear: _Gather, tables: dict, digits):
+    """Per prefix, the digits where every poly of a linear gather vanishes,
     as the bounds ``(lo, hi)`` of an interval: one root is ``lo == hi``,
     every digit ``lo > hi`` and none ``lo < hi``."""
     q = tables["q"]
     k = linear.npolys
-    acc = _coefficients(linear, tables, digits)
+    acc = _evaluate(linear, tables, digits)
     idx = acc[:k].astype(np.uint16)
     idx *= q
     idx += acc[k:]
@@ -390,8 +363,8 @@ def _roots(linear: _Linear, tables: dict, digits):
             tables["hi"].take(idx).max(axis=0))
 
 
-def _solve_linear(linear: _Linear, tables: dict, depth: int, codes, digits):
-    """The children of a linear level: per prefix, the common root of its
+def _solve_linear(linear: _Gather, tables: dict, depth: int, codes, digits):
+    """The children of a linear gather: per prefix, the common root of its
     polys, every digit where all of them vanish identically, or none."""
     q = tables["q"]
     lo, hi = _roots(linear, tables, digits)
@@ -412,28 +385,34 @@ def _solve_linear(linear: _Linear, tables: dict, depth: int, codes, digits):
     return codes, grown
 
 
-def _step(level, tables: dict, char2: bool, depth: int, codes, digits):
+def _step(level, tables: dict, depth: int, codes, digits):
     """Assign the variable at ``depth`` to every prefix: the surviving
     children, ascending when the prefixes are, and the work done (children
-    times prefix length, plus the terms evaluated)."""
+    times prefix length, plus the gather rows evaluated).
+
+    A level's linear polys give each prefix its children; without them
+    every prefix expands into its ``q`` children.  The level's other polys
+    are then evaluated on the children in one gather, and a child is kept
+    where they all vanish."""
+    q = tables["q"]
     if level is not None and level.linear is not None:
-        work = codes.size * (level.width + depth)
+        work = codes.size * (max(q, level.linear.logs.size) + depth)
         codes, digits = _solve_linear(level.linear, tables, depth,
                                       codes, digits)
-        return codes, digits, work + codes.size * depth
-    q = tables["q"]
-    row = tables["digits"]
-    size = codes.size
-    grown = np.empty((depth + 1, size, q), dtype=np.uint8)
-    grown[:depth] = digits[:, :, None]
-    grown[depth] = row
-    digits = grown.reshape(depth + 1, size * q)
-    codes = (codes[:, None] * np.uint64(q) + row).ravel()
-    work = size * q * (depth + 1)
-    if level is not None:
-        codes, digits, terms = _prune(level.polys, tables, char2,
-                                      codes, digits)
-        work += terms
+        work += codes.size * depth
+    else:
+        row = tables["digits"]
+        size = codes.size
+        grown = np.empty((depth + 1, size, q), dtype=np.uint8)
+        grown[:depth] = digits[:, :, None]
+        grown[depth] = row
+        digits = grown.reshape(depth + 1, size * q)
+        codes = (codes[:, None] * np.uint64(q) + row).ravel()
+        work = size * q * (depth + 1)
+    if level is not None and level.rest is not None and codes.size:
+        work += codes.size * level.rest.logs.size
+        keep = np.flatnonzero(~_evaluate(level.rest, tables, digits).any(0))
+        codes, digits = codes.take(keep), digits.take(keep, axis=1)
     return codes, digits, work
 
 
@@ -455,8 +434,8 @@ def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
     order.
 
     A frontier whose next level would hold more than ``chunk`` entries
-    (``q`` children, or one per term of a linear level, per prefix) is
-    halved first and the halves are grown depth first.
+    (the level's ``width`` per prefix) is halved first and the halves are
+    grown depth first.
 
     With ``limit``, growing to the leaves (``target`` is ``nvars``) stops
     once the pieces hold ``limit`` leaves.  Past the last poly every leaf
@@ -467,7 +446,6 @@ def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
     levels, last = compiled.levels, compiled.last
     q = tables["q"]
     n = system.nvars
-    char2 = system.p == 2
     left = limit
     stack = [(0, np.zeros(1, dtype=np.uint64),
               np.empty((0, 1), dtype=np.uint8))]
@@ -481,8 +459,7 @@ def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
                 stack.append((depth, codes[half:], digits[:, half:]))
                 codes, digits = codes[:half], digits[:, :half]
                 continue
-            codes, digits, _ = _step(level, tables, char2, depth,
-                                     codes, digits)
+            codes, digits, _ = _step(level, tables, depth, codes, digits)
             depth += 1
             span = q ** (n - depth)
             keep = _meeting(codes, span, start, stop)
@@ -584,14 +561,15 @@ def solutions_in_range(
     None) it is the encoding itself.  Returns a ``uint64`` array in
     ascending search-code order, which is ascending encoding order only in
     natural order.  Variables are assigned one at a time in search order
-    over a frontier of surviving prefixes.  A level whose polys are all
-    linear in its variable is solved on the parent prefixes; any other
-    level expands every prefix into its ``q`` children and prunes them one
-    poly at a time.  The frontier grows to the leaves, and their search
-    codes map to encodings; a prefix that fails an early poly never has
-    its subtree enumerated.  A frontier whose next level would hold more
-    than ``chunk`` entries (``q`` children, or one per term of a linear
-    level, per prefix) is halved first and the halves are grown depth
+    over a frontier of surviving prefixes.  A level's polys linear in its
+    variable are solved on the parent prefixes (without them, every prefix
+    expands into its ``q`` children), and its other polys are evaluated
+    on the children in one gather.  The frontier grows to the leaves, and
+    their search codes map to encodings; a prefix that fails an early poly
+    never has its subtree enumerated.  A frontier whose next level would
+    hold more than ``chunk`` entries (its ``width`` per prefix: ``q``
+    children, one per row of the linear gather, or ``q`` per row of the
+    other polys' gather) is halved first and the halves are grown depth
     first, so peak memory stays ``O(chunk * nvars)`` bytes plus the
     output, however large the range (a single prefix always expands).
 
@@ -629,9 +607,11 @@ def solutions_in_range(
     levels, last, weights = compiled.levels, compiled.last, compiled.weights
     target = n
     if buckets is not None:
-        # a last level solved on the parent prefixes is counted there,
-        # without its children, unless it assigns a bucket's digit
+        # a last level solved on the parent prefixes, with no other polys,
+        # is counted there without its children, unless it assigns a
+        # bucket's digit
         early = (last > 0 and levels[last].linear is not None
+                 and levels[last].rest is None
                  and weights[last - 1] < tally.width)
         target, limit = max(last - early, _aligned(q, n, start, stop)), None
     parts = []
@@ -652,21 +632,33 @@ def solutions_in_range(
     return np.concatenate(parts)[:limit] if parts else np.empty(0, np.uint64)
 
 
-def satisfied(system: CompiledSystem, codes: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _system_gather(system: CompiledSystem) -> _Gather:
+    """One target per poly of ``system``, over its encoding's digits."""
+    return _gather(system.polys, system.nvars, _tables(system),
+                   len(system.polys))
+
+
+def satisfied(system: CompiledSystem, codes: np.ndarray,
+              chunk: int = 1 << 20) -> np.ndarray:
     """Whether every poly of ``system`` vanishes on each of the encodings
-    ``codes``, as a boolean mask; the digits of all of them are evaluated
-    at once, one poly at a time."""
+    ``codes``, as a boolean mask: all polys are evaluated in one gather
+    over the decoded digits, on at most ``chunk`` gather entries (one per
+    monomial and encoding) at a time."""
+    mask = np.ones(codes.size, dtype=bool)
+    if not system.polys:
+        return mask
+    gather = _system_gather(system._replace(var_order=None))
     tables = _tables(system)
-    q = tables["q"]
-    digits = np.empty((system.nvars, codes.size), dtype=np.uint8)
-    rest = codes.astype(np.uint64)
-    for d in reversed(range(system.nvars)):
-        digits[d] = rest % np.uint64(q)
-        rest //= np.uint64(q)
-    kept, _, _ = _prune(system.polys, tables, system.p == 2,
-                        np.arange(codes.size), digits)
-    mask = np.zeros(codes.size, dtype=bool)
-    mask[kept] = True
+    q = np.uint64(tables["q"])
+    step = max(1, chunk // gather.logs.size)
+    for lo in range(0, codes.size, step):
+        rest = codes[lo:lo + step].astype(np.uint64)
+        digits = np.empty((system.nvars, rest.size), dtype=np.uint8)
+        for d in reversed(range(system.nvars)):
+            digits[d] = rest % q
+            rest //= q
+        mask[lo:lo + step] = ~_evaluate(gather, tables, digits).any(axis=0)
     return mask
 
 
@@ -719,7 +711,6 @@ def _estimate(system: CompiledSystem) -> tuple[float, float]:
     """
     tables = _tables(system)
     q = tables["q"]
-    char2 = system.p == 2
     rng = random.Random(0)  # a system always gets the same plan
     compiled = _compile(system)
     levels, last = compiled.levels, compiled.last
@@ -738,8 +729,7 @@ def _estimate(system: CompiledSystem) -> tuple[float, float]:
             digits = np.vstack([digits, digit.astype(np.uint8)])
             codes = codes * np.uint64(q) + digit
             continue
-        codes, digits, work = _step(level, tables, char2, depth,
-                                    codes, digits)
+        codes, digits, work = _step(level, tables, depth, codes, digits)
         cost += weight * work
         if codes.size > _PLAN_SAMPLE:
             weight *= codes.size / _PLAN_SAMPLE

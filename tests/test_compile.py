@@ -289,22 +289,94 @@ LINEAR_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LINEAR_CASES))
-def test_linear_levels_match_reference(name):
-    (p, m, modulus), nvars, build, count = LINEAR_CASES[name]
+def _case_system(case):
+    (p, m, modulus), nvars, build, count = case
     ring = PolyRing(field(p, m, modulus), nvars)
     system = compile_polys(ring, build(ring, [ring.var(i)
                                               for i in range(nvars)]))
-    total = system.order ** nvars
-    want = [code for code in range(total) if evaluate_code(system, code)]
+    want = [code for code in range(system.order ** nvars)
+            if evaluate_code(system, code)]
     assert len(want) == count
+    return system, want
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_CASES))
+def test_linear_levels_match_reference(name):
+    system, want = _case_system(LINEAR_CASES[name])
+    nvars = system.nvars
+    total = system.order ** nvars
     for order in (None, tuple(reversed(range(nvars)))):
         ordered = system._replace(var_order=order)
         levels = _compile(ordered).levels
-        assert all(level.linear is not None for level in levels if level)
+        assert all(level.linear is not None and level.rest is None
+                   for level in levels if level)
         for chunk in (1, 1 << 20):
             got = solutions_in_range(ordered, 0, total, chunk).tolist()
             assert sorted(got) == want
+
+
+# Systems with a level whose polys are not all linear in its variable: the
+# kernel solves the linear ones on the parent prefixes (or expands all q
+# children where there are none) and evaluates the others on the children.
+# (field, variables, polys, solution count); natural order's last level
+# holds a poly of degree 2 in its variable.
+MIXED_CASES = {
+    # x1 = x0 from the linear poly, then x0**2 + x0 = 0 keeps x0 in {0, 1}
+    "root fails the quadratic": (
+        (2, 2, 0b111), 2, lambda r, x: [x[1] + x[0], x[1] * x[1] + x[0]], 2),
+    # x1 = x0 over GF(5), kept where x0**2 = 1
+    "root fails the quadratic gf5": (
+        (5, 1, None), 2,
+        lambda r, x: [x[1] - x[0], x[1] * x[1] - r.one()], 2),
+    # where x0 = 0 every digit solves x0 x1, and x1**2 + x1 keeps two of
+    # them; elsewhere the root x1 = 0 solves both
+    "every digit then a quadratic": (
+        (2, 2, 0b111), 2, lambda r, x: [x[0] * x[1], x[1] * x[1] + x[1]], 5),
+    # no linear poly: x1**2 = -x0 over GF(5) has one root for x0 = 0 and
+    # two where -x0 is a nonzero square (x0 in {1, 4})
+    "quadratic only gf5": (
+        (5, 1, None), 2, lambda r, x: [x[1] * x[1] + x[0]], 5),
+    # a cubic beside a linear poly over GF(9), closed by x2 of three
+    "cubic gf9": (
+        (3, 2, 10), 3,
+        lambda r, x: [x[0] * x[2] + x[1], x[2] * x[2] * x[2] + x[1] * x[2]
+                      + r.const(3) * x[0]], 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_CASES))
+def test_mixed_levels_match_reference(name):
+    system, want = _case_system(MIXED_CASES[name])
+    compiled = _compile(system)
+    assert compiled.levels[compiled.last].rest is not None
+    total = system.order ** system.nvars
+    for order in (None, tuple(reversed(range(system.nvars)))):
+        ordered = system._replace(var_order=order)
+        for chunk in (1, 1 << 20):
+            got = solutions_in_range(ordered, 0, total, chunk).tolist()
+            assert sorted(got) == want
+
+
+def test_compile_rejects_monomials_past_the_factor_limit(f2):
+    # A product is the sum of its factors' discrete logs and its
+    # coefficient's in uint16, which holds 15 of zero's log: a monomial
+    # of 14 factors is evaluated, one of 15 is refused, not dropped.
+    from baxter._kernel import satisfied
+
+    for n in (14, 15):
+        ring = PolyRing(f2, n)
+        product = ring.one()
+        for i in range(n):
+            product = product * ring.var(i)
+        if n == 15:
+            with pytest.raises(ValueError, match="fewer than 15 factors"):
+                compile_polys(ring, [product + ring.one()])
+            continue
+        system = compile_polys(ring, [product + ring.one()])
+        codes = np.arange(2 ** n, dtype=np.uint64)
+        assert solutions_in_range(system, 0, 2 ** n).tolist() == [2 ** n - 1]
+        assert np.flatnonzero(satisfied(system, codes)).tolist() == [
+            2 ** n - 1]
 
 
 # -- counting, and listing the first solutions --------------------------------
@@ -426,6 +498,38 @@ def test_count_mode_counts_a_last_linear_level_on_its_parents(
                            minlength=4)
         assert got.tolist() == want.tolist()
     assert calls and set(calls) == {compiled.last - 1}
+
+
+def test_count_mode_grows_a_mixed_last_level_to_its_children(
+        f2, monkeypatch):
+    # A last level that also holds polys of degree 2 in its variable keeps
+    # a parent's root only where those vanish on it, so counting grows
+    # its children and never counts the parents' roots: over GF(4), x1 =
+    # x0 has four roots and only two of them solve x1**2 + x0.
+    from baxter import _kernel
+
+    calls = []
+    real = _kernel._count_last
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, "_count_last", spy)
+    systems = [_case_system(case)[0] for case in MIXED_CASES.values()]
+    systems.append(compile_selector(make_matrix_algebra(f2, 2), "qybe"))
+    for system in systems:
+        compiled = _compile(system)
+        assert compiled.levels[compiled.last].rest is not None
+        q, n = system.order, system.nvars
+        listed = solutions_in_range(system, 0, q ** n)
+        for k in range(3):
+            got = solutions_in_range(system, 0, q ** n, buckets=q ** k)
+            want = np.bincount(
+                (listed // np.uint64(q ** (n - k))).astype(np.intp),
+                minlength=q ** k)
+            assert got.tolist() == want.tolist(), (system.polys, k)
+    assert calls == []
 
 
 @pytest.mark.parametrize("greedy", [False, True])

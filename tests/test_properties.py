@@ -29,8 +29,10 @@ from baxter.algebra import (
     LieAlgebra, StructureConstants, assoc_validate, lie_validate,
 )
 from baxter._kernel import (
-    _compile, _greedy_order, evaluate_code, solutions_in_range,
+    _compile, _greedy_order, compile_polys, evaluate_code, satisfied,
+    solutions_in_range,
 )
+from baxter._poly import Poly, PolyRing
 
 # (p, m, modulus) for q in {2, 3, 4, 5, 7, 8, 9}
 FIELDS = (
@@ -229,6 +231,84 @@ def test_free_digits_past_the_table_grow_only_inside_the_range():
     codes = [_encoding(c, system.var_order, 8) for c in range(start, stop)]
     assert got == [e for e in codes if evaluate_code(system, e)]
     assert got
+
+
+# Fields of the hand-built mixed systems, and the most variables each takes
+# so that the reference evaluator reads at most 729 codes per system.
+MIXED_FIELDS = (
+    ((2, 1, None), 4), ((3, 1, None), 4), ((2, 2, 0b111), 4),
+    ((5, 1, None), 4), ((3, 2, 10), 3),
+)
+
+
+@st.composite
+def mixed_systems(draw):
+    """A system over 2 to 4 variables whose last variable closes one poly
+    linear in it and one of degree 2 or 3, with up to two more polys of
+    degree 1 to 3 in their last variable.  Each coefficient of a power of
+    the last variable is a sum of up to two monomials of degree at most 2
+    in the earlier variables (the constant among them), with distinct
+    monomials so nothing cancels; a poly may also carry an earlier
+    variable as a factor of all of its terms, so that where that variable
+    is 0, its ``a`` and ``c`` are both 0."""
+    (p, m, modulus), most = draw(st.sampled_from(MIXED_FIELDS))
+    f = field(p, m, modulus)
+    n = draw(st.integers(2, most))
+    ring = PolyRing(f, n)
+    coeff = st.integers(1, f.q - 1)
+
+    def poly(v, degree):
+        earlier = st.lists(st.integers(0, v - 1), max_size=2) if v else (
+            st.just([]))
+        factor = tuple(draw(st.lists(st.integers(0, v - 1), max_size=1))
+                       if v else [])
+        terms = {}
+        for e in range(degree + 1):
+            monos = draw(st.sets(earlier.map(lambda vs: tuple(sorted(vs))),
+                                 min_size=int(e == degree), max_size=2))
+            for mono in monos:
+                terms[tuple(sorted(mono + factor + (v,) * e))] = draw(coeff)
+        return Poly(ring, terms)
+
+    polys = [poly(n - 1, 1), poly(n - 1, draw(st.integers(2, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        polys.append(poly(draw(st.integers(0, n - 1)),
+                          draw(st.integers(1, 3))))
+    return compile_polys(ring, polys)
+
+
+@settings(_settings, max_examples=40)
+@given(system=mixed_systems(), data=st.data())
+def test_mixed_levels_match_reference_evaluator(system, data):
+    # Levels of linear polys beside polys of degree 2 or 3 in the level's
+    # variable: listed in both orders and at both chunks, with and without
+    # a limit, counted per bucket, and tested by ``satisfied`` in pieces of
+    # one encoding and whole.
+    q, n = system.order, system.nvars
+    total = q ** n
+    want = [code for code in range(total) if evaluate_code(system, code)]
+    levels = _compile(system).levels
+    assert any(level is not None and level.linear is not None
+               and level.rest is not None for level in levels)
+    for order in (None, tuple(reversed(range(n)))):
+        ordered = system._replace(var_order=order)
+        for chunk in (1, 1 << 20):
+            listed = solutions_in_range(ordered, 0, total, chunk)
+            assert sorted(listed.tolist()) == want, (order, chunk)
+            limit = data.draw(st.integers(1, len(want) + 1))
+            got = solutions_in_range(ordered, 0, total, chunk, limit=limit)
+            assert got.tolist() == listed[:limit].tolist(), (order, limit)
+            for k in range(3):
+                got = solutions_in_range(ordered, 0, total, chunk,
+                                         buckets=q ** k)
+                counts = np.bincount(
+                    np.array(want, dtype=np.intp) // q ** (n - k),
+                    minlength=q ** k)
+                assert got.tolist() == counts.tolist(), (order, chunk, k)
+    codes = np.arange(total, dtype=np.uint64)
+    for chunk in (1, 1 << 20):
+        mask = satisfied(system, codes, chunk)
+        assert np.flatnonzero(mask).tolist() == want
 
 
 @settings(_settings, max_examples=30)

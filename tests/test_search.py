@@ -281,6 +281,33 @@ def test_kernel_memory_bounded_by_chunk_on_qybe(f2):
     assert got.tolist() == whole.tolist()
 
 
+
+def test_kernel_memory_bounded_by_chunk_on_quadratic_qybe_levels(f8):
+    # The same bound on a level of polys of degree 2 in its variable,
+    # evaluated on the q children of every prefix.  In this order of M2's
+    # QYBE variables over GF(8), depth 14 closes only such polys (28
+    # monomials).  A level that counted q entries per prefix instead of q
+    # per monomial would peak at about 4.6 times the bound here.
+    import tracemalloc
+
+    from baxter._kernel import _compile
+
+    order = (12, 2, 11, 0, 15, 4, 1, 3, 14, 13, 8, 6, 7, 9, 10, 5)
+    system = compile_selector(make_matrix_algebra(f8, 2), "qybe")
+    system = system._replace(var_order=order)
+    levels = _compile(system).levels
+    assert levels[14].linear is None and levels[14].rest is not None
+    whole = solutions_in_range(system, 0, 8 ** 6)
+    chunk = 1 << 12
+    tracemalloc.start()
+    try:
+        got = solutions_in_range(system, 0, 8 ** 6, chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * chunk * (16 + 8) + 2 * 8 * whole.size
+    assert got.tolist() == whole.tolist()
+
 def _diff_pairs():
     rng = np.random.default_rng(7)
 
