@@ -640,7 +640,7 @@ def _system_gather(system: CompiledSystem) -> _Gather:
 
 
 def satisfied(system: CompiledSystem, codes: np.ndarray,
-              chunk: int = 1 << 20) -> np.ndarray:
+              chunk: int) -> np.ndarray:
     """Whether every poly of ``system`` vanishes on each of the encodings
     ``codes``, as a boolean mask: all polys are evaluated in one gather
     over the decoded digits, on at most ``chunk`` gather entries (one per

@@ -1089,9 +1089,10 @@ def _diff(spec: SweepSpec, sides: dict, pred: tuple, cls: tuple,
     def only(system, codes, other, count):
         want = min(count, COUNTEREXAMPLE_CAP)
         if codes is not None:
-            return codes[~satisfied(other, codes)][:want] if want else []
+            return (codes[~satisfied(other, codes, spec.chunk)][:want]
+                    if want else [])
         return _first(system, lo, hi, want, spec.chunk,
-                      lambda batch: satisfied(other, batch))
+                      lambda batch: satisfied(other, batch, spec.chunk))
 
     return [(pcount - common, only(psys, pcodes, csys, pcount - common)),
             (ccount - common, only(csys, ccodes, psys, ccount - common))]

@@ -375,8 +375,8 @@ def test_compile_rejects_monomials_past_the_factor_limit(f2):
         system = compile_polys(ring, [product + ring.one()])
         codes = np.arange(2 ** n, dtype=np.uint64)
         assert solutions_in_range(system, 0, 2 ** n).tolist() == [2 ** n - 1]
-        assert np.flatnonzero(satisfied(system, codes)).tolist() == [
-            2 ** n - 1]
+        mask = satisfied(system, codes, 1 << 20)
+        assert np.flatnonzero(mask).tolist() == [2 ** n - 1]
 
 
 # -- counting, and listing the first solutions --------------------------------
@@ -586,6 +586,6 @@ def test_satisfied_matches_the_reference_evaluator(f4):
 
     system = _family_system(f4, "ab", "cybe")
     codes = np.arange(0, 4 ** 11, 997, dtype=np.uint64)
-    mask = satisfied(system, codes)
+    mask = satisfied(system, codes, 1 << 20)
     assert mask.tolist() == [evaluate_code(system, int(c)) for c in codes]
     assert mask.any()

@@ -281,7 +281,6 @@ def test_kernel_memory_bounded_by_chunk_on_qybe(f2):
     assert got.tolist() == whole.tolist()
 
 
-
 def test_kernel_memory_bounded_by_chunk_on_quadratic_qybe_levels(f8):
     # The same bound on a level of polys of degree 2 in its variable,
     # evaluated on the q children of every prefix.  In this order of M2's
@@ -307,6 +306,7 @@ def test_kernel_memory_bounded_by_chunk_on_quadratic_qybe_levels(f8):
         tracemalloc.stop()
     assert peak < 3 * chunk * (16 + 8) + 2 * 8 * whole.size
     assert got.tolist() == whole.tolist()
+
 
 def _diff_pairs():
     rng = np.random.default_rng(7)
