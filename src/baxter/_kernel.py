@@ -45,8 +45,8 @@ codes*, and each depth's encoding weight maps a prefix to its *base*,
 the encoding with its unassigned digits zero.
 :func:`plan` picks the order for a system: the natural order or the
 fail-first greedy order (next the variable that closes the most polys),
-whichever a sampled estimate of the kernel's work favours; greedy must
-win by a factor of ``_PLAN_GAIN``.
+whichever a sampled estimate of the kernel's work favours, natural on a
+tie.
 """
 from __future__ import annotations
 
@@ -665,10 +665,6 @@ def satisfied(system: CompiledSystem, codes: np.ndarray,
 # -- choosing the variable order ---------------------------------------------
 
 _PLAN_SAMPLE = 256
-# Greedy order is taken only when estimated this many times cheaper than
-# natural order: the estimate is a sample, and a natural-order sweep's
-# ranges come out in encoding order and need no sort.
-_PLAN_GAIN = 2.0
 
 
 def _greedy_order(system: CompiledSystem) -> tuple[int, ...]:
@@ -749,16 +745,16 @@ def _random_words(rng: random.Random, size: int) -> np.ndarray:
 
 
 def plan(system: CompiledSystem) -> tuple[CompiledSystem, float, float]:
-    """``system`` in the cheaper of natural and greedy variable order, with
-    the estimated cost of each order (0 for a system without polys, which
-    keeps natural order)."""
+    """``system`` in the cheaper of natural and greedy variable order by
+    their estimated costs (natural on a tie), with the estimated cost of
+    each order (0 for a system without polys, which keeps natural order)."""
     natural = system._replace(var_order=None)
     if not system.polys:
         return natural, 0.0, 0.0
     natural_cost, _ = _estimate(natural)
     greedy_sys = system._replace(var_order=_greedy_order(system))
     greedy_cost, _ = _estimate(greedy_sys)
-    if greedy_cost * _PLAN_GAIN <= natural_cost:
+    if greedy_cost < natural_cost:
         return greedy_sys, natural_cost, greedy_cost
     return natural, natural_cost, greedy_cost
 

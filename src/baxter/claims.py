@@ -23,8 +23,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import bialgebra, search, ybe
 from ._kernel import compile_polys
 from ._poly import PolyRing
@@ -328,10 +326,12 @@ def _im_tensor(scalars, a) -> Tensor2:
 
 
 def _lemma211_holds(family: Family, workers) -> dict:
-    """Per (reading, x), the ascending codes ``member * q^3 + a`` (``a``
+    """Per (reading, x), the system of the codes ``member * q^3 + a`` (``a``
     encodes r's entries above the diagonal) where the reading's action of
     ``e_x`` on the CYBE residual equals the co-Jacobi defect at x, replayed
-    once on the symbolic member and a symbolic r in Im(1 - tau)."""
+    once on the symbolic member and a symbolic r in Im(1 - tau), and its
+    :class:`~baxter.search._Side`: how many codes solve it, and while they
+    fit in a sweep's chunk, their ascending codes."""
     ring = PolyRing(family.field, 5)
     L = family.symbolic(ring)
     r = _im_tensor(ring, [ring.var(i) for i in (2, 3, 4)])
@@ -340,30 +340,33 @@ def _lemma211_holds(family: Family, workers) -> dict:
         a - d for a, d in zip(search._values(bialgebra.adjoint_act3(
             L, x, c, mode)), search._values(defects[x]))
     ]) for mode in ("diagonal", "cube") for x in range(3)}
-    total = family.field.q ** 5
-    # listed whole, at most q^5 codes per system
-    task = search._task(sides, total, max(total, search.SweepSpec.chunk), 1,
-                        sides.values())
+    chunk = search.SweepSpec.chunk
+    task = search._task(sides, family.field.q ** 5, chunk, 1, sides.values())
     found = search._join(sides, task, search._run(
         task, search.resolve_workers(workers)))
-    return {key: side.codes for key, side in found.items()}
+    return {key: (sides[key], found[key]) for key in sides}
 
 
 def _claim_lemma211(res: ClaimResult, fields, workers) -> None:
     """For r in Im(1 - tau): the adjoint action of x on the CYBE residual
     equals the co-Jacobi defect at x, counted by :func:`_lemma211_holds`.
-    The diagonal (derivation) action is asserted, its first failures noted;
-    the tensor-cube action is run in comparison mode, its verdict noted."""
-    cap = search.COUNTEREXAMPLE_CAP
+    The diagonal (derivation) action is asserted, its first failures noted
+    from a scan of the codes; the tensor-cube action is run in comparison
+    mode, its verdict noted."""
+    cap, chunk = search.COUNTEREXAMPLE_CAP, search.SweepSpec.chunk
     for f in fields:
         q, members, failed, first = f.q, [], {"diagonal": 0, "cube": 0}, []
         for family in _dim3_lie_algebras(f):
-            for (mode, x), found in _lemma211_holds(family, workers).items():
-                failed[mode] += q ** 5 - found.size
-                if mode == "diagonal" and found.size < q ** 5:
-                    every = np.arange(q ** 5, dtype=found.dtype)
-                    first += [(len(members) * q ** 3 + int(code), x) for code
-                              in np.setdiff1d(every, found)[:cap]]
+            for (mode, x), (system, side) in _lemma211_holds(
+                    family, workers).items():
+                (count,) = side.counts
+                failed[mode] += q ** 5 - count
+                if mode == "diagonal" and count < q ** 5:
+                    fails = search._first(
+                        system._replace(polys=()), 0, q ** 5, cap, chunk,
+                        lambda codes: search.satisfied(system, codes, chunk))
+                    first += [(len(members) * q ** 3 + int(code), x)
+                              for code in fails]
             members += family.members()
         for code, x in sorted(first)[:cap]:
             r = _im_tensor(f, [f.element(code // q ** k % q)

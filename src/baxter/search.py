@@ -743,66 +743,52 @@ def _helpers(count: int) -> _Helpers:
     return _HELPERS
 
 
-def _systems(sides: dict) -> list:
-    """The distinct systems with polys among ``sides``, in side order;
-    sides with equal systems share one solve."""
-    return [system for system in dict.fromkeys(sides.values())
-            if system.polys]
-
-
-def _blocks(sides: dict, total: int, chunk: int) -> tuple:
-    """The solve of ``sides`` over all ``total`` encodings as a block task
-    ``(systems, bounds, chunk)``: block ``i`` runs every system over the
-    codes from ``bounds[i]`` to ``bounds[i + 1]``.
-
-    A system without polys is the whole space and needs no kernel call.
-    A sweep within ``chunk`` is one block of its systems as they are.  A
-    larger one runs every system in the variable order
-    :func:`baxter._kernel.plan` picks for it, cut into
-    ``min(_BLOCKS, ceil(W / _BLOCK_WORK))`` ranges of search codes, where
-    ``W`` sums each system's estimate for its chosen order.  A range is a
-    run of whole subtrees of the shallowest depth with ``_SUBTREES`` per
-    range, so its bounds never make the kernel grow a count past it.
-    """
-    systems = _systems(sides)
-    if total <= chunk or not systems:
-        return systems, (0, total), chunk
-    planned = [plan(system) for system in systems]
-    runs = [run for run, _, _ in planned]
-    work = sum(natural if run.var_order is None else greedy
-               for run, natural, greedy in planned)
-    blocks = min(_BLOCKS, max(1, math.ceil(work / _BLOCK_WORK)))
-    _LOG.debug("variable order: %s; estimated work %.3g in %d blocks",
-               "; ".join(
-                   f"{'/'.join(s for s, v in sides.items() if v == system)}"
-                   f" {run.var_order or 'natural'}, estimated cost"
-                   f" natural {natural:.3g} greedy {greedy:.3g}"
-                   for system, (run, natural, greedy) in zip(systems, planned)
-               ), work, blocks)
-    unit = total  # the codes of one subtree at the cut depth
-    while unit > 1 and total // unit < _SUBTREES * blocks:
-        unit //= runs[0].order
-    return runs, tuple(total // unit * k // blocks * unit
-                       for k in range(blocks + 1)), chunk
-
-
 def _task(sides: dict, total: int, chunk: int, members: int,
           listed=()) -> tuple:
-    """The block task of :func:`_blocks` with one :class:`_Solve` per
-    distinct system of ``sides``.  A system in ``listed`` is listed when
-    it may fit in ``chunk``: always within a sweep of at most ``chunk``
-    codes, else when its planned order's estimated solutions do.  Each
-    process then lists at most ``chunk`` of its encodings, whatever the
-    estimate; every other system is counted only."""
-    runs, bounds, chunk = _blocks(sides, total, chunk)
-    runs = iter(runs)
-    solves = []
+    """The solve of ``sides`` over all ``total`` encodings as a block task
+    ``(solves, bounds, chunk)``: block ``i`` runs one :class:`_Solve` per
+    distinct system of ``sides`` over the codes from ``bounds[i]`` to
+    ``bounds[i + 1]``, with its solutions counted per member of
+    ``members``.
+
+    A sweep within ``chunk`` is one block of its systems as they are, and
+    lists those in ``listed``.  A larger one runs each system with polys
+    in the variable order :func:`baxter._kernel.plan` picks for it, lists
+    a system in ``listed`` when that order's estimated solutions fit in
+    ``chunk``, and is cut into ``min(_BLOCKS, ceil(W / _BLOCK_WORK))``
+    ranges of search codes, where ``W`` sums each system's estimate for
+    its order.  A range is a run of whole subtrees of the shallowest depth
+    with ``_SUBTREES`` per range, so its bounds never make the kernel grow
+    a count past it.  Each process lists at most ``chunk`` encodings of a
+    listed system, whatever the estimate; every other system is counted
+    only.
+    """
+    solves, work, orders = [], 0.0, []
     for system in dict.fromkeys(sides.values()):
-        run = next(runs) if system.polys else system
-        keep = system in listed and (
-            total <= chunk or estimated_solutions(run) <= chunk)
-        solves.append(_Solve(run, members, chunk if keep else 0))
-    return tuple(solves), bounds, chunk
+        keep = system in listed
+        if total > chunk:
+            if system.polys:
+                name = "/".join(str(s) for s, v in sides.items()
+                                if v == system)
+                system, natural, greedy = plan(system)
+                work += greedy if system.var_order else natural
+                orders.append((name, system.var_order or "natural",
+                               natural, greedy))
+            keep = keep and estimated_solutions(system) <= chunk
+        solves.append(_Solve(system, members, chunk if keep else 0))
+    if not orders:
+        return tuple(solves), (0, total), chunk
+    blocks = min(_BLOCKS, max(1, math.ceil(work / _BLOCK_WORK)))
+    _LOG.debug("variable order: "
+               + "; ".join(["%s %s, estimated cost natural %.3g greedy %.3g"]
+                           * len(orders))
+               + "; estimated work %.3g in %d blocks",
+               *sum(orders, ()), work, blocks)
+    unit = total  # the codes of one subtree at the cut depth
+    while unit > 1 and total // unit < _SUBTREES * blocks:
+        unit //= system.order  # every side is over one field
+    return tuple(solves), tuple(total // unit * k // blocks * unit
+                                for k in range(blocks + 1)), chunk
 
 
 def _run(task: tuple, workers: int) -> list:

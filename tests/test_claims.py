@@ -1,5 +1,6 @@
 """Registered verification suites: pass/fail/ledger behavior per claim."""
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -374,7 +375,7 @@ def _lemma211_kernel_failures(family, xs=(0, 1, 2)):
 
     every = np.arange(family.field.q ** 5)
     holds = _lemma211_holds(family, 1)
-    return {(mode, x): np.setdiff1d(every, holds[mode, x]).tolist()
+    return {(mode, x): np.setdiff1d(every, holds[mode, x][1].codes).tolist()
             for mode in ("diagonal", "cube") for x in xs}
 
 
@@ -405,19 +406,11 @@ def test_lemma211_kernel_count_matches_the_per_tensor_loop(f2, f4):
 def test_lemma211_broken_diagonal_action_fails_with_the_loop_notes(
     f2, monkeypatch
 ):
-    # a wrong action that is still generic over ring scalars: it adds the
-    # residual itself, so it fails wherever the residual is nonzero
-    from baxter import bialgebra
+    # a wrong action that is still generic over ring scalars
     from baxter.cli import main
     from baxter.search import COUNTEREXAMPLE_CAP
 
-    real = bialgebra.adjoint_act3
-
-    def wrong(L, xi, t, mode="diagonal"):
-        out = real(L, xi, t, mode)
-        return out.add(t) if mode == "diagonal" else out
-
-    monkeypatch.setattr(bialgebra, "adjoint_act3", wrong)
+    _wrong_diagonal_action(monkeypatch)
     notes, diag_fail, cube_fail = [], 0, 0
     for kind in ("ab", "bd"):
         failed, family_notes = _lemma211_reference(Family(kind, f2))
@@ -433,6 +426,46 @@ def test_lemma211_broken_diagonal_action_fails_with_the_loop_notes(
         " -- the diagonal action is the operative reading"
     ]
     assert main(["claim", "Lemma2.1.1", "--fields", "gf(2)"]) == 1
+
+
+def _wrong_diagonal_action(monkeypatch):
+    """Make the diagonal action add the residual itself, so that it fails
+    wherever the residual is nonzero."""
+    from baxter import bialgebra
+
+    real = bialgebra.adjoint_act3
+
+    def wrong(L, xi, t, mode="diagonal"):
+        out = real(L, xi, t, mode)
+        return out.add(t) if mode == "diagonal" else out
+
+    monkeypatch.setattr(bialgebra, "adjoint_act3", wrong)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_lemma211_counted_past_the_chunk_gives_the_listed_notes(
+    f4, monkeypatch, caplog, broken
+):
+    # GF(4)'s 4**5 codes per family exceed a chunk of 2**8, so every
+    # system is counted, and a failing diagonal reading takes its first
+    # failures from a scan of the codes: the notes are the listed run's
+    from baxter import search
+    from baxter.claims import _lemma211_holds
+
+    if broken:
+        _wrong_diagonal_action(monkeypatch)
+    listed = claim_check("Lemma2.1.1", fields=[f4])
+    assert listed.passed is not broken
+    monkeypatch.setattr(search.SweepSpec, "chunk", 1 << 8)
+    holds = _lemma211_holds(Family("bd", f4), 1)
+    assert any(side.codes is None for _, side in holds.values())
+    with caplog.at_level(logging.DEBUG, logger="baxter"):
+        counted = claim_check("Lemma2.1.1", fields=[f4])
+    assert counted.notes == listed.notes
+    # the planned sweeps log their (reading, x) sides by name
+    assert any(r.getMessage().startswith("variable order: (")
+               for r in caplog.records if r.name == "baxter")
+    assert counted.passed is listed.passed
 
 
 def test_lemma211_outside_characteristic_2_is_refused(f3):

@@ -809,10 +809,10 @@ def test_family_sweep_guards_each_member_space(monkeypatch):
     class Planned(Exception):
         pass
 
-    def stop(sides, total, chunk):
+    def stop(sides, total, chunk, members, listed=()):
         raise Planned(total)
 
-    monkeypatch.setattr(search, "_blocks", stop)
+    monkeypatch.setattr(search, "_task", stop)
     with pytest.raises(Planned) as past:
         search._plan_sweep(spec)
     assert past.value.args == (16 ** 11,)
