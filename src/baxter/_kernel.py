@@ -11,20 +11,28 @@ Evaluation grows big-endian prefixes one variable at a time over a numpy
 frontier of surviving prefixes and their digits.  Each system is compiled
 once into levels, one per variable, holding the polys whose last variable
 that level assigns; the compiled levels are cached by the system's value.
-Polys are evaluated only through gather rows: every monomial is one lookup
-of its factors' summed discrete logs, and every target (a sum of
-monomials) is one segmented sum over its rows, XOR in characteristic 2
-and integer lanes reduced mod p otherwise.  A level's polys of degree at
-most 1 in its variable ``x`` are ``a * x + c`` with ``a`` and ``c`` in
-earlier variables, so they are solved on the parent prefixes: each parent
-keeps one child (the common root ``-c / a``), all ``q`` (every ``a`` and
-``c`` zero) or none.  A level without such polys expands every prefix
-into its ``q`` children.  The level's other polys are then evaluated on
-the surviving children in one gather, and a child is kept where they all
-vanish.  A listing grows the frontier to the leaves: a level past the
-last poly keeps every child, and the leaves' search codes map to tensor
-encodings.  A prefix that fails an early poly never has its subtree
-enumerated.
+Before the split the polys are row-reduced over GF(q) by sparse forward
+elimination, with monomials ranked by their factors' depths, deepest
+first: the reduced polys have the same zeros, a poly that is a linear
+combination of the others is dropped (GF(8) ``ab(1,1)``'s 27 CYBE
+entries span 21), and every kept one closes at the depth of its leading
+monomial, no later than the polys it came from.  A nonzero constant left
+by the reduction means that nothing solves.  Polys are evaluated only
+through gather rows: every monomial is one lookup of its factors' summed
+discrete logs, and every target (a sum of monomials) is one segmented
+sum over its rows, XOR in characteristic 2 and integer lanes reduced mod
+p otherwise.  A level's polys of degree at most 1 in its variable ``x``
+are ``a * x + c`` with ``a`` and ``c`` in earlier variables, so they are
+solved on the parent prefixes: each parent keeps one child (the common
+root ``-c / a``), all ``q`` (every ``a`` and ``c`` zero) or none.  A
+level without such polys expands every prefix into its ``q`` children.
+The level's other polys are then evaluated on the surviving children in
+one gather, and a child is kept where they all vanish.  A listing grows
+the frontier to the leaves: a level past the last poly keeps every
+child, and since no poly reads those digits, each prefix there carries
+its base (below) instead of its digits: a child's base is its parent's
+plus its digit times its depth's encoding weight.  A prefix that fails
+an early poly never has its subtree enumerated.
 
 The kernel can also count instead of listing: a surviving prefix past
 the last poly then counts as the size of its free subtree, per bucket of
@@ -167,9 +175,12 @@ def _tables(system: CompiledSystem) -> dict:
     log[powers] = np.arange(q - 1)
     exp = np.zeros(1 << 16, dtype=np.uint8)
     exp[:_ZERO_LOG] = powers[np.arange(_ZERO_LOG) % (q - 1)]
+    # field arithmetic on Python ints, for row-reducing a system
+    arith = (mul.tolist(), [[f.sub_i(a, b) for b in range(q)]
+                            for a in range(q)], inv.tolist())
     cached = {"q": q, "p": f.p, "m": f.m, "lo": lo.ravel(),
               "hi": hi.ravel(), "log": log, "exp": exp, "planes": {},
-              "digits": np.arange(q, dtype=np.uint8)}
+              "digits": np.arange(q, dtype=np.uint8), "arith": arith}
     _TABLES[key] = cached
     return cached
 
@@ -273,14 +284,55 @@ class _Compiled(NamedTuple):
     weights: np.ndarray  # per depth, the encoding weight of its variable
 
 
-@functools.lru_cache(maxsize=16)
+def _reduce(polys, depth_of, arith) -> dict:
+    """Row-reduce ``polys`` over the field: each poly becomes a row
+    ``{monomial: coeff}``, a monomial its factors' depths, deepest first,
+    and monomials rank as those tuples, so a row's leading monomial is one
+    of its deepest.  Sparse forward elimination keeps one row per leading
+    monomial, scaled to lead with 1; a row that reduces to zero is a
+    combination of the kept ones and is dropped.  Returns the kept rows,
+    in the order they were kept, as polys of ``(coeff, depths)`` monomials
+    keyed by their leading monomial."""
+    mul, sub, inv = arith
+    renamed = {}  # each monomial's depths, deepest first
+    pivots = {}
+    for poly in polys:
+        row = {}
+        for c, vs in poly:
+            key = renamed.get(vs)
+            if key is None:
+                key = renamed[vs] = tuple(sorted(map(depth_of.__getitem__, vs),
+                                                 reverse=True))
+            row[key] = c
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = mul[inv[row[lead]]]
+                pivots[lead] = [(scale[c], vs) for vs, c in row.items()]
+                break
+            times = mul[row[lead]]
+            for c, vs in pivot:
+                left = sub[row.get(vs, 0)][times[c]]
+                if left:
+                    row[vs] = left
+                else:
+                    del row[vs]
+    return pivots
+
+
+@functools.lru_cache(maxsize=256)
 def _compile(system: CompiledSystem) -> _Compiled:
     """Per depth, the :class:`_Level` of the polys whose last variable that
-    depth assigns (None where there are none; depth 0 holds the constant
-    polys), the deepest depth that has polys, and each depth's encoding
-    weight.  Nothing is built for the digits past the last poly: a listing
-    grows the frontier to the leaves.  Cached by the system's value, so a
-    system with other polys or another order compiles anew."""
+    depth assigns (None where there are none; depth 0 holds a nonzero
+    constant), the deepest depth that has polys, and each depth's encoding
+    weight.  The levels hold the polys row-reduced in this order
+    (:func:`_reduce`): row operations over the field are invertible, so
+    they have the system's zeros, but a poly that is a combination of the
+    others is gone and each kept one sits at the depth of its leading
+    monomial.  Nothing is built for the digits past the last poly: a
+    listing grows the frontier to the leaves.  Cached by the system's
+    value, so a system with other polys or another order compiles anew."""
     n = system.nvars
     order = system.var_order
     if order is not None and sorted(order) != list(range(n)):
@@ -288,17 +340,13 @@ def _compile(system: CompiledSystem) -> _Compiled:
     depth_of = list(range(n))
     for d, v in enumerate(order or ()):
         depth_of[v] = d
-    rename = depth_of.__getitem__
-    by_depth = [[] for _ in range(n + 1)]
-    for poly in system.polys:
-        if order is not None:
-            poly = tuple([(c, tuple(map(rename, vs))) for c, vs in poly])
-        top = max([max(vs) for _, vs in poly if vs], default=-1)
-        by_depth[top + 1].append(poly)
     tables = _tables(system)
+    by_depth = [[] for _ in range(n + 1)]
+    for lead, poly in _reduce(system.polys, depth_of, tables["arith"]).items():
+        by_depth[lead[0] + 1 if lead else 0].append(poly)
     q = tables["q"]
     levels = [None] * (n + 1)
-    if by_depth[0]:  # nonzero constants: nothing solves
+    if by_depth[0]:  # a nonzero constant: nothing solves
         levels[0] = _Level(None, None, q)
     for depth, polys in enumerate(by_depth[1:], 1):
         if not polys:
@@ -430,8 +478,10 @@ def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
                start: int, stop: int, chunk: int, target: int,
                limit: int | None):
     """The prefixes at depth ``target`` whose subtrees meet ``[start,
-    stop)``, as ``(depth, codes, digits)`` pieces in ascending search-code
-    order.
+    stop)``, as ``(depth, codes, rows)`` pieces in ascending search-code
+    order: ``rows`` are the prefixes' digits before the last poly's depth,
+    and from there on, where no poly reads the digits, one row of their
+    bases, which each level past it grows by its digit's weight.
 
     A frontier whose next level would hold more than ``chunk`` entries
     (the level's ``width`` per prefix) is halved first and the halves are
@@ -443,32 +493,41 @@ def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
     - depth)) + 1`` prefixes, ``left`` being the leaves still wanted: only
     the first prefix's subtree can be cut by ``start``.
     """
-    levels, last = compiled.levels, compiled.last
+    levels, last, weights = compiled.levels, compiled.last, compiled.weights
     q = tables["q"]
     n = system.nvars
     left = limit
-    stack = [(0, np.zeros(1, dtype=np.uint64),
-              np.empty((0, 1), dtype=np.uint8))]
+    values = tables["digits"]  # a child's digit
+    rows = (np.empty((0, 1), dtype=np.uint8) if last
+            else np.zeros((1, 1), dtype=np.uint64))
+    stack = [(0, np.zeros(1, dtype=np.uint64), rows)]
     while stack:
-        depth, codes, digits = stack.pop()
+        depth, codes, rows = stack.pop()
         while codes.size and depth < target:
             size = codes.size
             level = levels[depth + 1]
             if size > 1 and size * (level.width if level else q) > chunk:
                 half = size // 2
-                stack.append((depth, codes[half:], digits[:, half:]))
-                codes, digits = codes[:half], digits[:, :half]
+                stack.append((depth, codes[half:], rows[:, half:]))
+                codes, rows = codes[:half], rows[:, :half]
                 continue
-            codes, digits, _ = _step(level, tables, depth, codes, digits)
+            if depth < last:
+                codes, rows, _ = _step(level, tables, depth, codes, rows)
+            else:  # every child solves: grow the bases, not the digits
+                rows = (rows[:, :, None] + values * weights[depth]).reshape(
+                    1, size * q)
+                codes = (codes[:, None] * np.uint64(q) + values).ravel()
             depth += 1
             span = q ** (n - depth)
             keep = _meeting(codes, span, start, stop)
-            codes, digits = codes[keep], digits[:, keep]
+            codes, rows = codes[keep], rows[:, keep]
             if left is not None and depth >= last:
                 keep = slice(-(-left // span) + 1)
-                codes, digits = codes[keep], digits[:, keep]
+                codes, rows = codes[keep], rows[:, keep]
+            if depth == last:
+                rows = _bases(system, weights, q, depth, codes, rows)[None]
         if codes.size:
-            yield depth, codes, digits
+            yield depth, codes, rows
             if left is not None:
                 left -= codes.size
                 if left <= 0:
@@ -478,8 +537,7 @@ def _frontiers(system: CompiledSystem, compiled: _Compiled, tables: dict,
 def _bases(system: CompiledSystem, weights: np.ndarray, q: int, depth: int,
            codes: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """The encoding of each prefix with its unassigned digits zero: the
-    weighted sum of its assigned digits.  At depth ``nvars`` a prefix is a
-    leaf, and this is its encoding."""
+    weighted sum of its assigned digits."""
     if system.var_order is None:  # the search code is the encoding's prefix
         return codes * np.uint64(q ** (system.nvars - depth))
     return np.einsum("d,dp->p", weights[:depth], digits)
@@ -615,16 +673,16 @@ def solutions_in_range(
                  and weights[last - 1] < tally.width)
         target, limit = max(last - early, _aligned(q, n, start, stop)), None
     parts = []
-    for depth, codes, digits in _frontiers(system, compiled, tables, start,
-                                           stop, chunk, target, limit):
-        bases = _bases(system, weights, q, depth, codes, digits)
+    for depth, codes, rows in _frontiers(system, compiled, tables, start,
+                                         stop, chunk, target, limit):
         if buckets is None:
-            parts.append(bases)
+            parts.append(rows[0])
         elif depth < last:
-            _count_last(tally, depth, levels[last], tables, digits, bases,
+            bases = _bases(system, weights, q, depth, codes, rows)
+            _count_last(tally, depth, levels[last], tables, rows, bases,
                         chunk)
         else:
-            _add_subtrees(tally, depth, bases)
+            _add_subtrees(tally, depth, rows[0])
     if buckets is not None:
         return tally.counts
     if len(parts) == 1:  # concatenating one part would copy it

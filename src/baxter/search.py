@@ -431,12 +431,12 @@ class SweepSpec:
 # ``_BLOCKS``, whatever the worker count; the ranges' results are joined in
 # order.  A range is a run of at least ``_SUBTREES`` whole subtrees of one
 # depth, so the kernel counts it whole and ranges differ by at most an
-# eighth.  Measured on a 2-vCPU Xeon VM, medians of 7: a kernel
+# eighth.  Measured on a 2-vCPU Xeon VM, medians of 11: a kernel
 # call costs 0.2-0.4 ms however small its range (the GF(5) dim-3
-# strongly-symmetric system, 3.9e4 units, takes 0.6 ms in one call and
-# 8 ms in 32), and 1e6 units take 3-6 ms (one whole-space call: GF(8)
-# ab(1,1) CYBE 4.2e6 units in 15 ms, GF(16) 1.3e8 in 370 ms, GF(8) bd(0,1)
-# CYBE 2.4e7 in 131 ms), so a block's fixed cost stays below about a tenth
+# strongly-symmetric system, 1.7e4 units, takes 0.4 ms in one call and
+# 8 ms in 32), and 1e6 units take 3-4.5 ms (one whole-space call: GF(8)
+# ab(1,1) CYBE 1.6e6 units in 6.5 ms, GF(16) 4.9e7 in 150 ms, GF(8) bd(0,1)
+# CYBE 2.4e7 in 105 ms), so a block's fixed cost stays below about a tenth
 # of its work.
 _BLOCKS = 32
 _BLOCK_WORK = 1e6

@@ -233,6 +233,98 @@ def test_free_digits_past_the_table_grow_only_inside_the_range():
     assert got
 
 
+def test_free_digits_listed_in_greedy_order_match_reference_evaluator():
+    # Over GF(4), x5 x3 + x1 and x5**2 + x3 close at depth 3 of greedy
+    # order (x3, x5, x1, ...): the listing grows the other three digits
+    # from each surviving prefix's encoding, with their weights out of
+    # order, and keeps ascending search-code order across the halvings
+    # of every chunk and the cuts of a range and a limit.
+    ring = PolyRing(field(2, 2, 0b111), 6)
+    x = [ring.var(i) for i in range(6)]
+    system = compile_polys(ring, [x[5] * x[3] + x[1], x[5] * x[5] + x[3]])
+    system = system._replace(var_order=_greedy_order(system))
+    assert system.var_order[:3] == (3, 5, 1)
+    assert _compile(system).last == 3
+    total = 4 ** 6
+    codes = [_encoding(c, system.var_order, 4) for c in range(total)]
+    want = [e for e in codes if evaluate_code(system, e)]
+    assert len(want) == 4 ** 4
+    for chunk in CHUNKS:
+        got = solutions_in_range(system, 0, total, chunk).tolist()
+        assert got == want, chunk
+        for start, stop in ((17, 4000), (1000, 1100)):
+            inside = [e for e in codes[start:stop] if evaluate_code(system, e)]
+            got = solutions_in_range(system, start, stop, chunk)
+            assert got.tolist() == inside, (chunk, start)
+            got = solutions_in_range(system, start, stop, chunk, limit=9)
+            assert got.tolist() == inside[:9], (chunk, start)
+
+
+# Fields of the row-reduced systems: GF(2), GF(3), GF(4), GF(5) and GF(9).
+REDUCED_FIELDS = (
+    (2, 1, None), (3, 1, None), (2, 2, 0b111), (5, 1, None), (3, 2, 10),
+)
+
+
+@st.composite
+def dependent_systems(draw):
+    """A system over 2 or 3 variables of two to four random polys of
+    degree at most 2 and up to three random combinations of them, so that
+    row reduction drops dependent polys and moves others to earlier
+    depths; with a constant poly, a combination of them may reduce to a
+    nonzero constant."""
+    p, m, modulus = draw(st.sampled_from(REDUCED_FIELDS))
+    f = field(p, m, modulus)
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(f, n)
+    coeff = st.integers(1, f.q - 1)
+    monomials = st.lists(st.integers(0, n - 1), max_size=2).map(
+        lambda vs: tuple(sorted(vs)))
+
+    def poly():
+        return Poly(ring, draw(st.dictionaries(monomials, coeff, min_size=1,
+                                               max_size=4)))
+
+    base = [poly() for _ in range(draw(st.integers(2, 4)))]
+    combos = []
+    for _ in range(draw(st.integers(1, 3))):
+        picked = draw(st.lists(st.sampled_from(base), min_size=2, max_size=3))
+        total = ring.zero()
+        for other in picked:
+            total = total + ring.const(draw(coeff)) * other
+        combos.append(total)
+    return compile_polys(ring, base + combos)
+
+
+@settings(_settings, max_examples=60)
+@given(system=dependent_systems(), data=st.data())
+def test_reduced_levels_match_reference_evaluator(system, data):
+    # The kernel evaluates the row-reduced polys of each order; the
+    # reference evaluates the system's own.  Listed and counted, in
+    # natural and in a drawn order, at both chunks.
+    q, n = system.order, system.nvars
+    total = q ** n
+    want = [code for code in range(total) if evaluate_code(system, code)]
+    for order in (None, tuple(data.draw(st.permutations(range(n))))):
+        ordered = system._replace(var_order=order)
+        compiled = _compile(ordered)
+        kept = sum(gather.npolys for level in compiled.levels if level
+                   for gather in level[:2] if gather)
+        assert kept <= len(system.polys)
+        codes = [_encoding(c, order, q) for c in range(total)]
+        in_order = [e for e in codes if evaluate_code(system, e)]
+        for chunk in (1, 1 << 20):
+            listed = solutions_in_range(ordered, 0, total, chunk)
+            assert listed.tolist() == in_order, (order, chunk)
+            for k in range(3):
+                got = solutions_in_range(ordered, 0, total, chunk,
+                                         buckets=q ** k)
+                counts = np.bincount(
+                    np.array(want, dtype=np.intp) // q ** (n - k),
+                    minlength=q ** k)
+                assert got.tolist() == counts.tolist(), (order, chunk, k)
+
+
 # Fields of the hand-built mixed systems, and the most variables each takes
 # so that the reference evaluator reads at most 729 codes per system.
 MIXED_FIELDS = (

@@ -284,14 +284,15 @@ def test_kernel_memory_bounded_by_chunk_on_qybe(f2):
 def test_kernel_memory_bounded_by_chunk_on_quadratic_qybe_levels(f8):
     # The same bound on a level of polys of degree 2 in its variable,
     # evaluated on the q children of every prefix.  In this order of M2's
-    # QYBE variables over GF(8), depth 14 closes only such polys (28
-    # monomials).  A level that counted q entries per prefix instead of q
-    # per monomial would peak at about 4.6 times the bound here.
+    # QYBE variables over GF(8), depth 14 closes only such polys, once
+    # row-reduced one poly of 16 monomials.  A level that counted q entries
+    # per prefix instead of q per monomial would peak at about 3.2 times
+    # the bound here.
     import tracemalloc
 
     from baxter._kernel import _compile
 
-    order = (12, 2, 11, 0, 15, 4, 1, 3, 14, 13, 8, 6, 7, 9, 10, 5)
+    order = (15, 13, 8, 7, 6, 5, 0, 11, 10, 14, 4, 3, 9, 1, 2, 12)
     system = compile_selector(make_matrix_algebra(f8, 2), "qybe")
     system = system._replace(var_order=order)
     levels = _compile(system).levels
@@ -887,8 +888,9 @@ def test_listed_side_holds_at_most_chunk_whatever_the_estimate(
     # a listed one.  The 8**6 = 262,144 symmetric tensors of the abelian
     # dim-3 algebra over GF(8) (2 MB as encodings) stop one past chunk 2**10
     # and are counted.  A GF(4) bd family's 40,000 CYBE and 65,536
-    # symmetric solutions come in four blocks of 8,320 to 16,384: at chunk
-    # 2**15 one process lists the first two or three and counts the rest.
+    # symmetric solutions come in three blocks (the plan's work estimate,
+    # 2.93e6, over 1e6 per block) of 10,400 to 24,576: at chunk 2**15 one
+    # process lists the first one or two and counts the rest.
     import tracemalloc
     from dataclasses import replace
 
@@ -930,7 +932,7 @@ def test_listed_side_holds_at_most_chunk_whatever_the_estimate(
     (family,) = search._sweep_all(small[1:], workers=1)
     # the second task counts the codes both sides share
     sides = [sizes for sizes in listed if len(sizes) == 2]
-    assert [sum(sizes) for sizes in zip(*sides)] == [31680, 32768]
+    assert [sum(sizes) for sizes in zip(*sides)] == [17120 + 10400, 20480]
     try:
         got = [first, family, *search._sweep_all(small[1:], workers=2)]
     finally:
