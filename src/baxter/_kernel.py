@@ -802,10 +802,12 @@ def _random_words(rng: random.Random, size: int) -> np.ndarray:
     return np.frombuffer(bits, dtype=np.uint64)
 
 
+@functools.lru_cache(maxsize=256)
 def plan(system: CompiledSystem) -> tuple[CompiledSystem, float, float]:
     """``system`` in the cheaper of natural and greedy variable order by
     their estimated costs (natural on a tie), with the estimated cost of
-    each order (0 for a system without polys, which keeps natural order)."""
+    each order (0 for a system without polys, which keeps natural order).
+    Cached by the system's value."""
     natural = system._replace(var_order=None)
     if not system.polys:
         return natural, 0.0, 0.0

@@ -71,9 +71,14 @@ class FamilyParams:
 
 
 class StructureConstants:
-    """A dim^3 table of scalars ``c[i][j][k]`` over a field."""
+    """A dim^3 table of scalars ``c[i][j][k]`` over a field.
 
-    __slots__ = ("field", "dim", "c")
+    Tables are equal when their field (an interned object) and entries
+    are, and hash by value, so two algebras built alike are one key of a
+    sweep's cached selector systems (:mod:`baxter.search`).
+    """
+
+    __slots__ = ("field", "dim", "c", "_hash")
 
     def __init__(self, field, dim: int, c):
         self.field = field
@@ -85,6 +90,14 @@ class StructureConstants:
             or any(len(r) != dim for b in self.c for r in b)
         ):
             raise DimensionMismatch(f"expected {dim}^3 structure constants")
+        self._hash = hash((id(field), self.c))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, StructureConstants)
+                and self.field is other.field and self.c == other.c)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_terms(cls, field, dim: int, terms) -> "StructureConstants":

@@ -36,6 +36,13 @@ variables, so one solve covers every member and each side's solutions
 are counted, or cut, per member; a plain algebra is the one member of no
 parameters, and every report comes from the same routine.
 
+A selector's system is built and compiled once per process, not once
+per sweep: it is cached by the value of (algebra or family, selector),
+and each system's plan by the system's value, so a sweep of an algebra
+equal to one swept before with the same selectors (a claim run again, an
+algebra file loaded again) replays, compiles and estimates nothing.  A
+sweep's domain is conjoined to its sides outside the cache.
+
 Sweeps are deterministic: a compiled system without polys is the whole
 space and is counted (or listed, within ``chunk``) in the calling process
 without a kernel call.  A sweep larger than its ``chunk`` runs every other
@@ -78,6 +85,7 @@ whatever the chunk.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -340,10 +348,23 @@ def build_selector_system(algebra, name: str, ring: PolyRing):
     return _equations(algebra, name, kt, ring.const)
 
 
+@functools.lru_cache(maxsize=256)
 def compile_selector(algebra, name: str) -> CompiledSystem:
-    n = algebra.dim
-    ring = PolyRing(algebra.field, n * n)
-    return compile_polys(ring, build_selector_system(algebra, name, ring))
+    """The compiled system of the selector ``name`` on ``algebra``: its
+    equations replayed on the algebra, or on a
+    :class:`~baxter.algebra.Family`'s symbolic member (built and
+    Jacobi-checked here) over a ring whose two leading variables are the
+    parameters.
+
+    Cached per process by value, since algebras, families and structure
+    constants compare and hash by value: a sweep of an algebra equal to one
+    already swept with this selector, such as each claim run's freshly
+    built grids, replays nothing.
+    """
+    n, lead = algebra.dim, _lead(algebra)
+    ring = PolyRing(algebra.field, lead + n * n)
+    symbolic = algebra.symbolic(ring) if lead else algebra
+    return compile_polys(ring, build_selector_system(symbolic, name, ring))
 
 
 def selector_predicate(algebra, name: str):
@@ -946,40 +967,38 @@ class _Planned(NamedTuple):
     task: tuple
 
 
+def _conjoined(system: CompiledSystem, other: CompiledSystem):
+    """``system`` with the polys of ``other`` (over the same ring) that it
+    lacks appended, as :func:`compile_polys` of both lists would give."""
+    return system._replace(
+        polys=tuple(dict.fromkeys(system.polys + other.polys)))
+
+
 def _plan_sweep(spec: SweepSpec) -> _Planned:
     """Build the sides of a sweep of ``spec`` and cut its solve into blocks.
 
-    The selectors' equations are replayed once, on the algebra or on a
-    family's symbolic member over a ring whose leading variables are its
-    parameters, so a code is the member's index times ``q^(n^2)`` plus the
-    tensor's encoding.  A plain algebra is the one member of no parameters.
-    The classifier, and the predicate when there is a classifier or an
+    Each selector's system comes from :func:`compile_selector`, and the
+    domain's polys are conjoined to the predicate's and the classifier's.
+    A code is the member's index times ``q^(n^2)`` plus the tensor's
+    encoding; a plain algebra is the one member of no parameters.  The
+    classifier, and the predicate when there is a classifier or an
     unlimited listing, are listed while they fit; every other side is
     counted.
     """
     algebra = spec.algebra
-    n = algebra.dim
-    space = tensor_count(algebra.field, n)
+    space = tensor_count(algebra.field, algebra.dim)
     if space > MAX_SWEEP:  # per member, whatever the family's size
         raise SweepTooLarge(space, MAX_SWEEP)
     if spec.chunk < 1:
         raise InputError("chunk must be positive")
     if spec.limit is not None and spec.limit < 0:
         raise InputError("limit must be >= 0")
-    lead = _lead(algebra)
-    ring = PolyRing(algebra.field, lead + n * n)
-    symbolic = algebra.symbolic(ring) if lead else algebra
-    built = {}
-
-    def polys(name):
-        if name not in built:
-            built[name] = build_selector_system(symbolic, name, ring)
-        return built[name]
-
-    domain = [] if spec.domain is None else polys(spec.domain)
+    domain = (None if spec.domain is None
+              else compile_selector(algebra, spec.domain))
 
     def system(name):
-        return compile_polys(ring, [*polys(name), *domain])
+        own = compile_selector(algebra, name)
+        return own if domain is None else _conjoined(own, domain)
 
     sides = {"predicate": system(spec.predicate)}
     listed = []
@@ -988,8 +1007,8 @@ def _plan_sweep(spec: SweepSpec) -> _Planned:
         listed = list(sides.values())
     elif spec.keep_solutions and spec.limit is None:
         listed = [sides["predicate"]]
-    if spec.domain is not None:
-        sides["domain"] = compile_polys(ring, domain)
+    if domain is not None:
+        sides["domain"] = domain
     codes = _codes(spec)
     return _Planned(spec, sides, _task(sides, codes, spec.chunk,
                                        codes // space, listed))
@@ -1015,8 +1034,7 @@ def _finish(planned: _Planned, workers: int) -> list[SolutionReport]:
         elif set(cls.polys) <= set(pred.polys):
             common = found["predicate"].counts
         else:
-            both = {"both": pred._replace(
-                polys=tuple(dict.fromkeys(pred.polys + cls.polys)))}
+            both = {"both": _conjoined(pred, cls)}
             task = _task(both, _codes(spec), spec.chunk, len(members))
             common = _join(both, task, _run(task, workers))["both"].counts
     duration_ms = (time.perf_counter() - t0) * 1000.0 / len(members)

@@ -178,14 +178,16 @@ def strong_symmetry_equations(k, n: int):
 
 
 def is_strongly_symmetric(r: Tensor2) -> bool:
-    """``k_ij k_lm = k_il k_jm`` for all index quadruples."""
+    """``k_ij k_lm = k_il k_jm`` for all index quadruples, compared as
+    integer encodings."""
     n = r.dim
-    k = r.rows
+    mul = r.field.mul_i
+    k = [[v.value for v in row] for row in r.rows]
     for i in range(n):
         for j in range(n):
-            for l in range(n):
+            for l in range(j + 1, n):  # (i, l, j, m) is the same equation
                 for m in range(n):
-                    if k[i][j] * k[l][m] != k[i][l] * k[j][m]:
+                    if mul(k[i][j], k[l][m]) != mul(k[i][l], k[j][m]):
                         return False
     return True
 

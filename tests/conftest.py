@@ -14,6 +14,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def fresh_selector_cache():
+    """Each selector's compiled system is cached per process by value
+    (``search.compile_selector``), so a test that patches something the
+    replay of a selector reads starts from an empty cache and leaves an
+    empty one behind."""
+    from baxter import search
+
+    search.compile_selector.cache_clear()
+    yield
+    search.compile_selector.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def f2():
     return field(2)

@@ -66,6 +66,17 @@ def test_claim_matches_golden(default_runs, cid):
     assert _digest(cid, default_runs[cid]) == GOLDEN[cid]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_claims_run_twice_in_one_process_match_golden(workers,
+                                                     fresh_selector_cache):
+    # the first pass replays every selector system, the second finds them
+    # all cached by value (in the helper too, once it has swept them)
+    for _ in range(2):
+        for cid in CLAIM_IDS:
+            res = claim_check(cid, workers=workers)
+            assert _digest(cid, res) == GOLDEN[cid], cid
+
+
 def _without_durations(res) -> dict:
     d = res.to_dict()
     for rep in d["reports"]:
@@ -173,7 +184,8 @@ def test_lemma02_invariance_check_catches_a_non_invariant_predicate(
     assert "fails" in note
 
 
-def test_lemma02_checks_the_tensors_the_selector_selects(f2, monkeypatch):
+def test_lemma02_checks_the_tensors_the_selector_selects(
+        f2, monkeypatch, fresh_selector_cache):
     from baxter import ybe
 
     # with no relations the selector admits every tensor, symmetric or not

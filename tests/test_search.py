@@ -824,6 +824,99 @@ def test_family_sweep_guards_each_member_space(monkeypatch):
         sweep(spec)
 
 
+_AB11 = ("dim 3\nbracket 1 2 -> 3:0x1\nbracket 2 3 -> 1:0x1\n"
+         "bracket 3 1 -> 2:0x1\n")
+
+
+def _reports(spec) -> list:
+    from baxter import search
+
+    (reports,) = search._sweep_all([spec], workers=1)
+    return [r.canonical_json() for r in reports]
+
+
+def test_equal_algebras_built_apart_share_the_cached_systems(
+        f4, tmp_path, fresh_selector_cache):
+    # Each selector's system is cached by the algebra's value, so an
+    # algebra built again (a file loaded twice, a family member made twice)
+    # finds the first one's systems and reports byte-identically.
+    from baxter import load_algebra, search
+
+    path = tmp_path / "ab11.alg"
+    path.write_text(f"field {f4.literal()}\n{_AB11}", encoding="utf-8")
+    zero, one = f4.zero(), f4.one()
+    for make, classifier in (
+        (lambda: load_algebra(str(path)), "strongly-symmetric"),
+        (lambda: make_family_bd(f4, zero, one), "prop16-case"),
+    ):
+        first, second = make(), make()
+        assert first is not second and first.sc is not second.sc
+        search.compile_selector.cache_clear()
+        reports = [_reports(SweepSpec(algebra=algebra, predicate="cybe",
+                                      classifier=classifier))
+                   for algebra in (first, second)]
+        info = search.compile_selector.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        assert reports[0] == reports[1]
+
+
+def test_sweeps_that_differ_report_as_cold_runs(f2, f4, tmp_path,
+                                                fresh_selector_cache):
+    # Each pair differs in one part of what a sweep's systems depend on.
+    # Run after the first, the second sweep hits only the systems the two
+    # share (a domain is conjoined outside the cache), and reports as it
+    # does alone on an empty cache.
+    from dataclasses import replace
+
+    from baxter import load_algebra, search
+    from baxter.algebra import (
+        Family, StructureConstants, assoc_validate, lie_validate,
+    )
+
+    zero = StructureConstants.from_terms(f2, 2, {})
+    files = []  # one label, other constants: ab(1,1) and the abelian algebra
+    for folder, brackets in (("ab11", _AB11), ("abelian", "dim 3\n")):
+        (tmp_path / folder).mkdir()
+        files.append(tmp_path / folder / "dim3.alg")
+        files[-1].write_text(f"field {f4.literal()}\n{brackets}",
+                             encoding="utf-8")
+    triangular = SweepSpec(algebra=make_family_ab(f4, f4.one(), f4.one()),
+                           predicate="triangular",
+                           classifier="im-and-alpha-beta-symmetric")
+    prop16 = SweepSpec(algebra=make_family_bd(f4, f4.zero(), f4.one()),
+                       predicate="cybe", classifier="prop16-case")
+    pairs = {  # the pair, and the second sweep's (misses, hits)
+        "fields": ([SweepSpec(algebra=make_dim2(f, "nonabelian"),
+                              predicate="cybe", classifier="symmetric")
+                    for f in (f2, f4)], (2, 0)),
+        "constants": ([SweepSpec(algebra=load_algebra(str(path)),
+                                 predicate="cybe", classifier="symmetric")
+                       for path in files], (2, 0)),
+        "lie or associative": ([
+            SweepSpec(algebra=validate(zero, label="zero"),
+                      predicate="strongly-symmetric", classifier="symmetric")
+            for validate in (lie_validate, assoc_validate)], (2, 0)),
+        "domain": ([replace(triangular, domain="im-one-minus-tau"),
+                    triangular], (0, 2)),
+        "family": ([SweepSpec(algebra=Family(kind, f2), predicate="cybe",
+                              classifier="strongly-symmetric")
+                    for kind in ("ab", "bd")], (2, 0)),
+        "prop16-case values": ([prop16, replace(
+            prop16, algebra=make_family_bd(f4, f4.one(), f4.one()))],
+            (2, 0)),
+    }
+    for name, ((first, second), lookups) in pairs.items():
+        search.compile_selector.cache_clear()
+        _reports(first)
+        before = search.compile_selector.cache_info()
+        warm = _reports(second)
+        after = search.compile_selector.cache_info()
+        assert (after.misses - before.misses,
+                after.hits - before.hits) == lookups, name
+        search.compile_selector.cache_clear()
+        assert _reports(second) == warm, name
+
+
 def test_sweep_all_shares_the_blocks_of_a_planned_item(f4, monkeypatch):
     # A whole sweep of more than one block comes back planned from its
     # item, and the caller then shares its blocks over the helpers.
