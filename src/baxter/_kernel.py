@@ -44,8 +44,9 @@ down to the depth of its bounds.  A last level solved on the parent
 prefixes, with no other polys, is counted there from each parent's number
 of roots, without its children.  A listing can stop after its first
 ``limit`` solutions: past the last poly every leaf solves, so each level
-keeps only the prefixes whose subtrees can hold them.  :func:`satisfied`
-tests given encodings against a system in one gather of all its polys.
+keeps only the prefixes whose subtrees can hold them.  :func:`poly_values`
+evaluates every poly of a system on given encodings in one gather, and
+:func:`satisfied` tests them against the system with it.
 
 Variables are assigned in the system's ``var_order``, natural (the tensor
 encoding's own digit order) by default; the prefixes are then *search
@@ -74,6 +75,7 @@ __all__ = [
     "plan",
     "estimated_solutions",
     "satisfied",
+    "poly_values",
     "evaluate_code",
 ]
 
@@ -104,13 +106,15 @@ class CompiledSystem(NamedTuple):
         return Field.make(self.p, self.m, self.modulus)
 
 
-def compile_polys(ring, polys: Iterable) -> CompiledSystem:
+def compile_polys(ring, polys: Iterable, every: bool = False
+                  ) -> CompiledSystem:
     """Freeze symbolic polynomials into a picklable system.
 
     Identically-zero polynomials are dropped and duplicates are kept once,
-    preserving first-occurrence order.  A monomial of ``_MAX_FACTORS`` or
-    more factors is rejected: its product would not fit the kernel's
-    summed discrete logs.
+    preserving first-occurrence order; with ``every``, each one is kept in
+    order, as the coordinates of a map (:func:`poly_values`) need.  A
+    monomial of ``_MAX_FACTORS`` or more factors is rejected: its product
+    would not fit the kernel's summed discrete logs.
     """
     base = ring.base
     if base.q > _MAX_ORDER:
@@ -124,12 +128,10 @@ def compile_polys(ring, polys: Iterable) -> CompiledSystem:
         if poly.ring is not ring:
             raise ValueError("polynomial from a different ring")
         normalized = tuple(sorted(poly.terms.items()))
-        if not normalized:
-            continue
-        if normalized in seen:
+        if not every and (not normalized or normalized in seen):
             continue
         seen.add(normalized)
-        g = max(map(len, poly.terms))
+        g = max(map(len, poly.terms), default=0)
         if g >= _MAX_FACTORS:
             raise ValueError(f"vectorized evaluation supports monomials of"
                              f" fewer than {_MAX_FACTORS} factors, got {g}")
@@ -697,15 +699,12 @@ def _system_gather(system: CompiledSystem) -> _Gather:
                    len(system.polys))
 
 
-def satisfied(system: CompiledSystem, codes: np.ndarray,
-              chunk: int) -> np.ndarray:
-    """Whether every poly of ``system`` vanishes on each of the encodings
-    ``codes``, as a boolean mask: all polys are evaluated in one gather
-    over the decoded digits, on at most ``chunk`` gather entries (one per
-    monomial and encoding) at a time."""
-    mask = np.ones(codes.size, dtype=bool)
-    if not system.polys:
-        return mask
+def poly_values(system: CompiledSystem, codes: np.ndarray, chunk: int):
+    """The value of every poly of ``system`` on each of the encodings
+    ``codes``: all polys are evaluated in one gather over the decoded
+    digits, on at most ``chunk`` gather entries (one per monomial and
+    encoding) at a time, and each step yields its ``(polys, codes)``
+    block of field encodings, in order."""
     gather = _system_gather(system._replace(var_order=None))
     tables = _tables(system)
     q = np.uint64(tables["q"])
@@ -716,7 +715,20 @@ def satisfied(system: CompiledSystem, codes: np.ndarray,
         for d in reversed(range(system.nvars)):
             digits[d] = rest % q
             rest //= q
-        mask[lo:lo + step] = ~_evaluate(gather, tables, digits).any(axis=0)
+        yield _evaluate(gather, tables, digits)
+
+
+def satisfied(system: CompiledSystem, codes: np.ndarray,
+              chunk: int) -> np.ndarray:
+    """Whether every poly of ``system`` vanishes on each of the encodings
+    ``codes``, as a boolean mask from :func:`poly_values`."""
+    mask = np.ones(codes.size, dtype=bool)
+    if not system.polys:
+        return mask
+    lo = 0
+    for block in poly_values(system, codes, chunk):
+        mask[lo:lo + block.shape[1]] = ~block.any(axis=0)
+        lo += block.shape[1]
     return mask
 
 

@@ -18,6 +18,7 @@ stated; a nonempty ledger documents where it does not.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field, replace
 from operator import itemgetter
@@ -38,7 +39,13 @@ from .algebra import (
 )
 from .errors import UnknownClaim
 from .gf import Field, parse_field
-from .tensor import BasisChange, Tensor2, _contract, _nonzero_entries
+from .tensor import (
+    BasisChange,
+    Tensor2,
+    _contract,
+    _nonzero_entries,
+    encoding_literal,
+)
 
 __all__ = ["CLAIM_IDS", "ClaimResult", "claim_check", "claim_default_fields"]
 
@@ -318,28 +325,29 @@ def _claim_lemma02(res: ClaimResult, fields, workers) -> None:
     )
 
 
-def _im_tensor(scalars, a) -> Tensor2:
-    """The dim-3 r in Im(1 - tau) with ``a`` above the diagonal, ascending."""
-    zero = scalars.zero()
-    return Tensor2(scalars, 3, [[zero, a[0], a[1]], [-a[0], zero, a[2]],
-                                [-a[1], -a[2], zero]])
-
-
-def _lemma211_holds(family: Family, workers) -> dict:
+@functools.lru_cache(maxsize=16)
+def _lemma211_sides(family: Family) -> dict:
     """Per (reading, x), the system of the codes ``member * q^3 + a`` (``a``
-    encodes r's entries above the diagonal) where the reading's action of
+    codes r's entries above the diagonal) where the reading's action of
     ``e_x`` on the CYBE residual equals the co-Jacobi defect at x, replayed
-    once on the symbolic member and a symbolic r in Im(1 - tau), and its
-    :class:`~baxter.search._Side`: how many codes solve it, and while they
-    fit in a sweep's chunk, their ascending codes."""
+    once on the symbolic member and r on the ``im-one-minus-tau``
+    parametrisation of the sweeps.  Cached per family by value, as
+    :func:`~baxter.search.compile_selector` is."""
     ring = PolyRing(family.field, 5)
     L = family.symbolic(ring)
-    r = _im_tensor(ring, [ring.var(i) for i in (2, 3, 4)])
+    r = search._tensor(ring, 3, "im-one-minus-tau")
     c, defects = ybe.cybe_residual(L, r), bialgebra.cojacobi_defect(L, r)
-    sides = {(mode, x): compile_polys(ring, [
+    return {(mode, x): compile_polys(ring, [
         a - d for a, d in zip(search._values(bialgebra.adjoint_act3(
             L, x, c, mode)), search._values(defects[x]))
     ]) for mode in ("diagonal", "cube") for x in range(3)}
+
+
+def _lemma211_holds(family: Family, workers) -> dict:
+    """Per (reading, x), the system of :func:`_lemma211_sides` and its
+    :class:`~baxter.search._Side`: how many codes solve it, and while they
+    fit in a sweep's chunk, their ascending codes."""
+    sides = _lemma211_sides(family)
     chunk = search.SweepSpec.chunk
     task = search._task(sides, family.field.q ** 5, chunk, 1, sides.values())
     found = search._join(sides, task, search._run(
@@ -356,6 +364,7 @@ def _claim_lemma211(res: ClaimResult, fields, workers) -> None:
     cap, chunk = search.COUNTEREXAMPLE_CAP, search.SweepSpec.chunk
     for f in fields:
         q, members, failed, first = f.q, [], {"diagonal": 0, "cube": 0}, []
+        im = search._map(f, 3, "im-one-minus-tau")
         for family in _dim3_lie_algebras(f):
             for (mode, x), (system, side) in _lemma211_holds(
                     family, workers).items():
@@ -365,15 +374,14 @@ def _claim_lemma211(res: ClaimResult, fields, workers) -> None:
                     fails = search._first(
                         system._replace(polys=()), 0, q ** 5, cap, chunk,
                         lambda codes: search.satisfied(system, codes, chunk))
-                    first += [(len(members) * q ** 3 + int(code), x)
-                              for code in fails]
+                    first += [(len(members) + int(code) // q ** 3, r, x)
+                              for code, r in zip(fails, search._encodings(
+                                  im, fails, chunk).tolist())]
             members += family.members()
-        for code, x in sorted(first)[:cap]:
-            r = _im_tensor(f, [f.element(code // q ** k % q)
-                               for k in (2, 1, 0)])
+        for member, r, x in sorted(first)[:cap]:
             res.notes.append(
-                f"diagonal reading fails: {members[code // q ** 3].label} over"
-                f" {f.literal()}, r={r.literal()}, x=e{x + 1}"
+                f"diagonal reading fails: {members[member].label} over"
+                f" {f.literal()}, r={encoding_literal(f, 3, r)}, x=e{x + 1}"
             )
         checked, (diag_fail, cube_fail) = 6 * q ** 5, failed.values()
         if diag_fail:

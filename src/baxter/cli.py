@@ -34,7 +34,11 @@ from .search import (
     selector_predicate,
     sweep,
 )
-from .tensor import Tensor2, im_one_minus_tau_member, parse_tensor2
+from .tensor import (
+    encoding_literal,
+    im_one_minus_tau_member,
+    parse_tensor2,
+)
 from .ybe import strong_rank1_decompose
 
 _CHECKS = {
@@ -194,7 +198,7 @@ def _cmd_enumerate(args) -> int:
     listed = [
         {
             "encoding": code,
-            "tensor": Tensor2.decode(algebra.field, algebra.dim, code).literal(),
+            "tensor": encoding_literal(algebra.field, algebra.dim, code),
         }
         for code in report.solutions
     ]

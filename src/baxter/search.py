@@ -1,9 +1,10 @@
 """Exhaustive sweeps of tensor spaces with predicate/classifier comparison.
 
 A sweep walks every ``r`` in ``V (x) V`` over the algebra's base field (all
-``q^(n^2)`` big-endian encodings), evaluates a *predicate* (e.g. "solves
-CYBE") and optionally a *classifier* (a closed-form solution description),
-and reports the counts plus any disagreements.  Selectors name both roles:
+``q^(n^2)`` big-endian encodings), or every ``r`` of a domain, evaluates a
+*predicate* (e.g. "solves CYBE") and optionally a *classifier* (a
+closed-form solution description), and reports the counts plus any
+disagreements.  Selectors name both roles:
 
 ``cybe`` | ``qybe`` | ``strongly-symmetric`` | ``alpha-beta-symmetric`` |
 ``prop16-case`` | ``coboundary`` | ``triangular`` | ``symmetric`` |
@@ -11,9 +12,21 @@ and reports the counts plus any disagreements.  Selectors name both roles:
 ``im-and-alpha-beta-symmetric`` | ``bd-printed-coboundary`` |
 ``bd-printed-triangular``
 
-A sweep may also name a *domain* selector; its equations are conjoined to
-both sides and the report's ``total`` counts the domain instead of the
-whole space.
+A sweep may also name a *domain* selector: the report then counts and
+compares within it, and its ``total`` is the domain's size.  Every sweep
+runs on a *parametrisation*, a map from ``k`` ring variables to the tensor
+on which each selector's equations are replayed, and searches ``q^k``
+codes per algebra.  ``im-one-minus-tau`` maps the ``n(n-1)/2`` entries
+above the diagonal to ``r_ij = a``, ``r_ji = -a`` in every
+characteristic, and ``strongly-symmetric`` in characteristic 2 maps ``v``
+to ``v (x) v``: both are one to one onto the domain, whose own equations
+then vanish identically and are dropped, so the domain is counted without
+a kernel call.  Any other domain, and no domain, runs on the identity
+(``k = n^2``) with the domain's equations conjoined to both sides.  A
+code's tensor is encoded through the kernel's gather of one target per
+coefficient; ``v (x) v`` does not keep the order of the encodings
+(Frobenius permutes them from GF(4) on), so its reports sort the codes
+they show by encoding.
 
 Each selector's equations are written once, in ``_equations``, against
 generic ring scalars.  Two evaluation routes use them and are
@@ -40,8 +53,9 @@ A selector's system is built and compiled once per process, not once
 per sweep: it is cached by the value of (algebra or family, selector),
 and each system's plan by the system's value, so a sweep of an algebra
 equal to one swept before with the same selectors (a claim run again, an
-algebra file loaded again) replays, compiles and estimates nothing.  A
-sweep's domain is conjoined to its sides outside the cache.
+algebra file loaded again) replays, compiles and estimates nothing.  The
+key holds the parametrisation, and a domain's equations are conjoined to
+the sides outside the cache.
 
 Sweeps are deterministic: a compiled system without polys is the whole
 space and is counted (or listed, within ``chunk``) in the calling process
@@ -77,9 +91,11 @@ sides' polys: a side's own, when its polys include the other's, or else
 counted.  A side-only count above zero that no array holds gets its first
 ``COUNTEREXAMPLE_CAP`` codes, and a listing its first ``limit``, from a
 scan in ascending encoding order over the member's codes that stops once
-it has them.  So the report is identical for any worker count, chunk size
-or variable order, and a dense sweep holds ``O(workers * chunk)`` codes
-whatever the plan's estimates.  A listing without a limit fails with
+it has them (on a map that does not keep the order, a scan of all of
+them in batches of ``chunk`` that keeps the smallest).  So the report is
+identical for any worker count, chunk size or variable order, and a
+dense sweep holds ``O(workers * chunk)`` codes whatever the plan's
+estimates.  A listing without a limit fails with
 :class:`~baxter.errors.ListingTooLarge` past ``MAX_LISTING`` solutions,
 whatever the chunk.
 """
@@ -110,12 +126,18 @@ from ._kernel import (
     plan,
     satisfied,
     solutions_in_range,
+    poly_values,
 )
 from ._poly import PolyRing
 from .algebra import AssocAlgebra, Family, LieAlgebra, StructureConstants
 from .errors import HelperExited, InputError, ListingTooLarge, SweepTooLarge
 from .gf import FieldElement
-from .tensor import Tensor2, im_one_minus_tau_member, named_view
+from .tensor import (
+    Tensor2,
+    encoding_literal,
+    im_one_minus_tau_member,
+    named_view,
+)
 
 __all__ = [
     "MAX_SWEEP",
@@ -330,41 +352,142 @@ def _equations(algebra, name: str, kt: Tensor2, const) -> list:
     return [condition(nc, *params("beta", "delta"), const(field.one()))]
 
 
-def build_selector_system(algebra, name: str, ring: PolyRing):
-    """Symbolic polynomials whose common zeros are the selector's members:
-    its equations on the tensor of the ring's last ``n^2`` variables.  The
+# ---------------------------------------------------------------------------
+# parametrised domains
+
+
+def _parametrisation(field, domain: str | None) -> str | None:
+    """The parametrisation a sweep within ``domain`` runs on: the domain's
+    own, for ``im-one-minus-tau`` in every characteristic and for
+    ``strongly-symmetric`` in characteristic 2, where ``v -> v (x) v`` is
+    one to one onto it; else None, the identity."""
+    if domain == "im-one-minus-tau" or (
+            domain == "strongly-symmetric" and field.p == 2):
+        return domain
+    return None
+
+
+def _arity(n: int, param: str | None) -> int:
+    """How many parameters a dim-``n`` tensor has under ``param``."""
+    return {None: n * n, "im-one-minus-tau": n * (n - 1) // 2,
+            "strongly-symmetric": n}[param]
+
+
+def _tensor(ring: PolyRing, n: int, param: str | None) -> Tensor2:
+    """The dim-``n`` tensor of the ring's last ``_arity(n, param)``
+    variables under ``param``: the variables themselves, row-major (the
+    identity); ``r_ij = a`` and ``r_ji = -a`` for the variables ``a`` of the
+    entries above the diagonal, row-major, with a zero diagonal
+    (``im-one-minus-tau``); or ``v (x) v`` (``strongly-symmetric``).  The
     variables before them are a symbolic family member's parameters
     (:meth:`~baxter.algebra.Family.symbolic`)."""
-    _check_selector(algebra, name)
-    n = algebra.dim
-    lead = ring.nvars - n * n
+    lead = ring.nvars - _arity(n, param)
     if lead < 0:
-        raise InputError(
-            f"ring has {ring.nvars} variables, expected at least {n * n}"
-        )
-    kt = Tensor2(ring, n, [
-        [ring.var(lead + i * n + j) for j in range(n)] for i in range(n)
-    ])
-    return _equations(algebra, name, kt, ring.const)
+        raise InputError(f"ring has {ring.nvars} variables, expected at "
+                         f"least {_arity(n, param)}")
+    x = [ring.var(v) for v in range(lead, ring.nvars)]
+    if param is None:
+        rows = [x[i * n:(i + 1) * n] for i in range(n)]
+    elif param == "strongly-symmetric":
+        rows = [[vi * vj for vj in x] for vi in x]
+    else:
+        rows = [[ring.zero()] * n for _ in range(n)]
+        above = iter(x)
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = next(above)
+                rows[j][i] = -rows[i][j]
+    return Tensor2(ring, n, rows)
+
+
+class _Map(NamedTuple):
+    """The tensors a sweep runs on, as the image of the last ``k`` digits
+    of its codes (a family member's parameters lead) under the
+    parametrisation ``param``: ``coords`` holds one poly per tensor
+    coefficient over those digits, row-major (None for the identity,
+    ``k = n^2``).  ``ascending``: ascending codes give ascending
+    encodings."""
+
+    param: str | None
+    q: int
+    k: int
+    coords: CompiledSystem | None
+    ascending: bool
+
+
+@functools.lru_cache(maxsize=64)
+def _map(field, n: int, param: str | None) -> _Map:
+    """The :class:`_Map` of ``param`` on dim-``n`` tensors over ``field``.
+    ``im-one-minus-tau`` is ascending: each parameter is the first
+    coefficient that reads it, and every coefficient before it reads
+    earlier ones.  ``v (x) v`` is not, once Frobenius permutes the
+    encodings."""
+    k = _arity(n, param)
+    if param is None:
+        return _Map(param, field.q, k, None, True)
+    ring = PolyRing(field, k)
+    coords = compile_polys(ring, _values(_tensor(ring, n, param)), every=True)
+    return _Map(param, field.q, k, coords, param == "im-one-minus-tau")
+
+
+def _encodings(shape: _Map, codes, chunk: int) -> np.ndarray:
+    """The encodings of the tensors of ``codes`` under ``shape``, from the
+    kernel's gather of one target per coefficient, at most ``chunk``
+    entries at a time: ``uint64``, or Python ints past ``2**64``."""
+    q = shape.q
+    codes = np.asarray(codes, dtype=np.uint64) % np.uint64(q ** shape.k)
+    if shape.coords is None or not codes.size:
+        return codes
+    wide = np.uint64 if q ** len(shape.coords.polys) <= 1 << 64 else object
+    out = [np.empty(0, dtype=wide)]
+    for block in poly_values(shape.coords, codes, chunk):
+        enc = np.zeros(block.shape[1], dtype=wide)
+        for digit in block:
+            enc *= q
+            enc += digit.astype(wide)
+        out.append(enc)
+    return np.concatenate(out)
+
+
+def _smallest(shape: _Map, chunk: int, codes: np.ndarray,
+              want: int) -> np.ndarray:
+    """The ``want`` of ``codes`` whose tensors under ``shape`` have the
+    smallest encodings, ascending by encoding."""
+    return codes[np.argsort(_encodings(shape, codes, chunk))[:want]]
+
+
+def build_selector_system(algebra, name: str, ring: PolyRing,
+                          param: str | None = None):
+    """Symbolic polynomials whose common zeros are the selector's members:
+    its equations on the tensor of the ring's last variables under the
+    parametrisation ``param`` (:func:`_tensor`; the identity reads ``n^2``
+    of them)."""
+    _check_selector(algebra, name)
+    return _equations(algebra, name, _tensor(ring, algebra.dim, param),
+                      ring.const)
 
 
 @functools.lru_cache(maxsize=256)
-def compile_selector(algebra, name: str) -> CompiledSystem:
+def compile_selector(algebra, name: str,
+                     param: str | None = None) -> CompiledSystem:
     """The compiled system of the selector ``name`` on ``algebra``: its
     equations replayed on the algebra, or on a
     :class:`~baxter.algebra.Family`'s symbolic member (built and
     Jacobi-checked here) over a ring whose two leading variables are the
-    parameters.
+    parameters, and on the tensor of the parametrisation ``param``.  Polys
+    that vanish identically there, such as a domain's own equations on its
+    parametrisation, are dropped.
 
     Cached per process by value, since algebras, families and structure
     constants compare and hash by value: a sweep of an algebra equal to one
-    already swept with this selector, such as each claim run's freshly
-    built grids, replays nothing.
+    already swept with this selector and parametrisation, such as each
+    claim run's freshly built grids, replays nothing.
     """
     n, lead = algebra.dim, _lead(algebra)
-    ring = PolyRing(algebra.field, lead + n * n)
+    ring = PolyRing(algebra.field, lead + _arity(n, param))
     symbolic = algebra.symbolic(ring) if lead else algebra
-    return compile_polys(ring, build_selector_system(symbolic, name, ring))
+    return compile_polys(ring, build_selector_system(symbolic, name, ring,
+                                                     param))
 
 
 def selector_predicate(algebra, name: str):
@@ -427,13 +550,16 @@ def resolve_workers(explicit: int | None = None) -> int:
 class SweepSpec:
     """What to sweep: an algebra, a predicate, and an optional classifier.
 
-    ``domain`` names a selector whose equations are conjoined to both
-    sides, so the report counts and compares within it and its ``total``
-    is the domain's size.  ``chunk`` bounds the entries the kernel holds
-    in one step and the solutions a side holds as an array (memory); it
-    never changes the report.  ``limit`` caps the solutions
-    ``keep_solutions`` keeps to the smallest ``limit`` encodings; without
-    it, a listing past :data:`MAX_LISTING` solutions fails.
+    ``domain`` names a selector the report counts and compares within; its
+    ``total`` is the domain's size.  ``im-one-minus-tau``, and
+    ``strongly-symmetric`` in characteristic 2, are swept through their
+    parametrisation, ``q^k`` codes of ``k`` parameters per algebra; any
+    other domain's equations are conjoined to both sides.  ``chunk``
+    bounds the entries the kernel holds in one step and the solutions a
+    side holds as an array (memory); it never changes the report.
+    ``limit`` caps the solutions ``keep_solutions`` keeps to the smallest
+    ``limit`` encodings; without it, a listing past :data:`MAX_LISTING`
+    solutions fails.
     """
 
     algebra: object
@@ -867,9 +993,11 @@ def _join(sides: dict, task: tuple, parts: list) -> dict:
     return {side: found[system] for side, system in sides.items()}
 
 
-def _sorted_diff(a: np.ndarray, b: np.ndarray):
+def _sorted_diff(a: np.ndarray, b: np.ndarray,
+                 cap: int | None = COUNTEREXAMPLE_CAP):
     """For sorted arrays of distinct values: the size of ``a - b`` and its
-    first ``COUNTEREXAMPLE_CAP`` entries, then the same for ``b - a``.
+    first ``cap`` entries (all of them for None), then the same for
+    ``b - a``.
 
     The smaller array is looked up in the larger one, so the work is the
     smaller array's size times a binary search, plus the cap.
@@ -880,13 +1008,13 @@ def _sorted_diff(a: np.ndarray, b: np.ndarray):
     hit = pos < large.size
     hit[hit] = large[pos[hit]] == small[hit]
     common = int(np.count_nonzero(hit))
-    small_only = small[~hit][:COUNTEREXAMPLE_CAP]
+    small_only = small[~hit][:cap]
     # at most ``common`` hits come before the cap-th entry that is no hit
-    head = min(large.size, COUNTEREXAMPLE_CAP + common)
+    head = large.size if cap is None else min(large.size, cap + common)
     found = pos[hit]
     free = np.ones(head, dtype=bool)
     free[found[:found.searchsorted(head)]] = False
-    large_only = large[:head][free][:COUNTEREXAMPLE_CAP]
+    large_only = large[:head][free][:cap]
     sides = [(small.size - common, small_only),
              (large.size - common, large_only)]
     return sides[::-1] if swap else sides
@@ -952,17 +1080,23 @@ def _lead(algebra) -> int:
     return 2 if isinstance(algebra, Family) else 0
 
 
+def _shape(spec: SweepSpec) -> _Map:
+    """The parametrisation a sweep of ``spec`` runs on, as a :class:`_Map`."""
+    f = spec.algebra.field
+    return _map(f, spec.algebra.dim, _parametrisation(f, spec.domain))
+
+
 def _codes(spec: SweepSpec) -> int:
-    """The codes a sweep of ``spec`` searches: every member's tensors."""
-    algebra = spec.algebra
-    return algebra.field.q ** (_lead(algebra) + algebra.dim ** 2)
+    """The codes a sweep of ``spec`` searches: every member's parameters."""
+    return spec.algebra.field.q ** (_lead(spec.algebra) + _shape(spec).k)
 
 
 class _Planned(NamedTuple):
-    """A sweep whose systems are built, as ``{side: system}``, and cut into
-    the blocks of ``task``."""
+    """A sweep whose systems are built, as ``{side: system}`` over the
+    parametrisation ``shape``, and cut into the blocks of ``task``."""
 
     spec: SweepSpec
+    shape: _Map
     sides: dict
     task: tuple
 
@@ -977,16 +1111,19 @@ def _conjoined(system: CompiledSystem, other: CompiledSystem):
 def _plan_sweep(spec: SweepSpec) -> _Planned:
     """Build the sides of a sweep of ``spec`` and cut its solve into blocks.
 
-    Each selector's system comes from :func:`compile_selector`, and the
-    domain's polys are conjoined to the predicate's and the classifier's.
-    A code is the member's index times ``q^(n^2)`` plus the tensor's
-    encoding; a plain algebra is the one member of no parameters.  The
+    Each selector's system comes from :func:`compile_selector` on the
+    parametrisation of the domain (:func:`_parametrisation`), and the
+    domain's polys there are conjoined to the predicate's and the
+    classifier's: none, where the domain is parametrised.  A code is the
+    member's index times ``q^k`` plus the code of the tensor's ``k``
+    parameters; a plain algebra is the one member of no parameters.  The
     classifier, and the predicate when there is a classifier or an
     unlimited listing, are listed while they fit; every other side is
     counted.
     """
     algebra = spec.algebra
-    space = tensor_count(algebra.field, algebra.dim)
+    shape = _shape(spec)
+    space = algebra.field.q ** shape.k
     if space > MAX_SWEEP:  # per member, whatever the family's size
         raise SweepTooLarge(space, MAX_SWEEP)
     if spec.chunk < 1:
@@ -994,10 +1131,10 @@ def _plan_sweep(spec: SweepSpec) -> _Planned:
     if spec.limit is not None and spec.limit < 0:
         raise InputError("limit must be >= 0")
     domain = (None if spec.domain is None
-              else compile_selector(algebra, spec.domain))
+              else compile_selector(algebra, spec.domain, shape.param))
 
     def system(name):
-        own = compile_selector(algebra, name)
+        own = compile_selector(algebra, name, shape.param)
         return own if domain is None else _conjoined(own, domain)
 
     sides = {"predicate": system(spec.predicate)}
@@ -1010,8 +1147,8 @@ def _plan_sweep(spec: SweepSpec) -> _Planned:
     if domain is not None:
         sides["domain"] = domain
     codes = _codes(spec)
-    return _Planned(spec, sides, _task(sides, codes, spec.chunk,
-                                       codes // space, listed))
+    return _Planned(spec, shape, sides, _task(sides, codes, spec.chunk,
+                                              codes // space, listed))
 
 
 def _finish(planned: _Planned, workers: int) -> list[SolutionReport]:
@@ -1020,7 +1157,7 @@ def _finish(planned: _Planned, workers: int) -> list[SolutionReport]:
     solutions the two share are those of one system of both sides' polys:
     a side's own when its polys include the other's, else counted.  Each
     report's ``duration_ms`` is its share of the solve."""
-    spec, sides, task = planned
+    spec, shape, sides, task = planned
     algebra = spec.algebra
     members = algebra.members() if _lead(algebra) else [algebra]
     t0 = time.perf_counter()
@@ -1038,12 +1175,12 @@ def _finish(planned: _Planned, workers: int) -> list[SolutionReport]:
             task = _task(both, _codes(spec), spec.chunk, len(members))
             common = _join(both, task, _run(task, workers))["both"].counts
     duration_ms = (time.perf_counter() - t0) * 1000.0 / len(members)
-    return [_report(spec, member, k, sides, found, common, duration_ms)
-            for k, member in enumerate(members)]
+    return [_report(spec, shape, member, k, sides, found, common,
+                    duration_ms) for k, member in enumerate(members)]
 
 
 def _first(system: CompiledSystem, start: int, stop: int, want: int,
-           chunk: int, drop=None) -> np.ndarray:
+           chunk: int, drop=None, smallest=None) -> np.ndarray:
     """The first ``want`` solutions of ``system`` in ``[start, stop)``,
     ascending, leaving out those that ``drop`` (a mask of an encoding
     array) flags.
@@ -1054,10 +1191,15 @@ def _first(system: CompiledSystem, start: int, stop: int, want: int,
     in a step than its batch or ``_SCAN_STEP``, so it grows its frontier
     depth first towards the batch's codes and not across the whole range.
     A system without polys lists its range with no kernel call.
+
+    With ``smallest(codes, want)``, which keeps the ``want`` of ``codes``
+    that come first in another order (the encodings of a map that is not
+    ascending), the scan runs through the whole range and keeps that
+    many after each batch, so it holds ``O(want + chunk)`` codes.
     """
     natural = system._replace(var_order=None)
     found, got, batch = [], 0, want
-    while got < want and start < stop:
+    while want and start < stop and (smallest is not None or got < want):
         if natural.polys:
             codes = solutions_in_range(natural, start, stop,
                                        min(max(batch, _SCAN_STEP), chunk),
@@ -1068,17 +1210,21 @@ def _first(system: CompiledSystem, start: int, stop: int, want: int,
         start = int(codes[-1]) + 1 if codes.size == batch else stop
         if drop is not None:
             codes = codes[~drop(codes)]
-        found.append(codes[:want - got])
-        got += found[-1].size
+        if smallest is None:
+            found.append(codes[:want - got])
+            got += found[-1].size
+        else:
+            found = [smallest(np.concatenate(found + [codes]), want)]
         batch = max(batch, min(2 * batch, chunk))
     return np.concatenate(found) if found else np.empty(0, dtype=np.uint64)
 
 
 def _diff(spec: SweepSpec, sides: dict, pred: tuple, cls: tuple,
-          common: int | None, lo: int, hi: int) -> list:
+          common: int | None, lo: int, hi: int, smallest) -> list:
     """:func:`_sorted_diff` on one member's codes ``[lo, hi)`` of the two
     sides, given as ``(count, codes)`` with ``codes`` None for a counted
-    side.
+    side; each side-only count comes with the ``COUNTEREXAMPLE_CAP`` of
+    its codes that ``smallest(codes, want)`` keeps (None: the first).
 
     Two listed sides are compared as arrays.  Otherwise the sides share
     ``common`` codes, and each side-only count above zero is headed by
@@ -1086,32 +1232,49 @@ def _diff(spec: SweepSpec, sides: dict, pred: tuple, cls: tuple,
     its array's, or a capped scan's when it is counted.
     """
     (pcount, pcodes), (ccount, ccodes) = pred, cls
+    cap = COUNTEREXAMPLE_CAP
     if pcodes is not None and ccodes is not None:
-        return _sorted_diff(pcodes, ccodes)
+        if smallest is None:
+            return _sorted_diff(pcodes, ccodes)
+        return [(count, smallest(codes, cap))
+                for count, codes in _sorted_diff(pcodes, ccodes, None)]
     psys, csys = sides["predicate"], sides["classifier"]
 
     def only(system, codes, other, count):
-        want = min(count, COUNTEREXAMPLE_CAP)
+        want = min(count, cap)
+        if not want:
+            return []
         if codes is not None:
-            return (codes[~satisfied(other, codes, spec.chunk)][:want]
-                    if want else [])
+            codes = codes[~satisfied(other, codes, spec.chunk)]
+            return codes[:want] if smallest is None else smallest(codes, want)
         return _first(system, lo, hi, want, spec.chunk,
-                      lambda batch: satisfied(other, batch, spec.chunk))
+                      lambda batch: satisfied(other, batch, spec.chunk),
+                      smallest)
 
     return [(pcount - common, only(psys, pcodes, csys, pcount - common)),
             (ccount - common, only(csys, ccodes, psys, ccount - common))]
 
 
-def _report(spec: SweepSpec, algebra, k: int, sides: dict, found: dict,
-            common: list | None, duration_ms: float) -> SolutionReport:
+def _report(spec: SweepSpec, shape: _Map, algebra, k: int, sides: dict,
+            found: dict, common: list | None,
+            duration_ms: float) -> SolutionReport:
     """The report on ``algebra``, member ``k`` of the sweep, from each
-    side's :class:`_Side`: its codes are ``[k * q^(n^2), (k + 1) *
-    q^(n^2))``, and its listing and counterexamples are encodings of its
-    tensors."""
+    side's :class:`_Side`: its codes are ``[k * w, (k + 1) * w)`` for the
+    ``w = q^shape.k`` parameter codes of a member, and its listing and
+    counterexamples are the encodings of their tensors, ascending.  Where
+    ``shape`` is not ascending, they come from the codes of the smallest
+    encodings, found by sorting a side's array or by a scan of the whole
+    member."""
     f = algebra.field
     n = algebra.dim
-    space = tensor_count(f, n)
+    space = f.q ** shape.k
     lo, hi = k * space, (k + 1) * space
+
+    def encode(codes):
+        return _encodings(shape, codes, spec.chunk)
+
+    smallest = (None if shape.ascending
+                else functools.partial(_smallest, shape, spec.chunk))
 
     def part(side):
         count, codes = found[side].counts[k], found[side].codes
@@ -1127,18 +1290,19 @@ def _report(spec: SweepSpec, algebra, k: int, sides: dict, found: dict,
         cls = part("classifier")
         classifier_count = cls[0]
         diff = _diff(spec, sides, pred, cls,
-                     common[k] if common is not None else None, lo, hi)
+                     common[k] if common is not None else None, lo, hi,
+                     smallest)
         agreement = not diff[0][0] and not diff[1][0]
     (pred_only_count, pred_only), (class_only_count, class_only) = diff
 
     candidates = sorted(
-        [(int(code) - lo, True) for code in pred_only]
-        + [(int(code) - lo, False) for code in class_only]
+        [(code, True) for code in encode(pred_only).tolist()]
+        + [(code, False) for code in encode(class_only).tolist()]
     )[:COUNTEREXAMPLE_CAP]
     counterexamples = [
         {
             "encoding": code,
-            "tensor": Tensor2.decode(f, n, code).literal(),
+            "tensor": encoding_literal(f, n, code),
             "predicate": in_pred,
             "classifier": not in_pred,
         }
@@ -1150,9 +1314,13 @@ def _report(spec: SweepSpec, algebra, k: int, sides: dict, found: dict,
         if spec.limit is None and pred[0] > MAX_LISTING:
             raise ListingTooLarge(pred[0], MAX_LISTING)
         want = pred[0] if spec.limit is None else min(spec.limit, pred[0])
-        listing = (pred[1][:want] if pred[1] is not None else
-                   _first(sides["predicate"], lo, hi, want, spec.chunk))
-        solutions = (listing - np.uint64(lo)).tolist()
+        if pred[1] is None:
+            listing = _first(sides["predicate"], lo, hi, want, spec.chunk,
+                             smallest=smallest)
+        else:
+            listing = (pred[1][:want] if smallest is None
+                       else smallest(pred[1], want))
+        solutions = encode(listing).tolist()
 
     params = algebra.params.as_dict() if algebra.params else {}
     return SolutionReport(

@@ -38,6 +38,7 @@ __all__ = [
     "named_view",
     "named_pack",
     "im_one_minus_tau_member",
+    "encoding_literal",
     "parse_tensor2",
 ]
 
@@ -500,6 +501,22 @@ class BasisChange:
 
 # ---------------------------------------------------------------------------
 # literals
+
+
+@functools.cache
+def _hex_digits(q: int) -> tuple[str, ...]:
+    return tuple(hex(v) for v in range(q))
+
+
+def encoding_literal(field: Field, dim: int, code: int) -> str:
+    """``Tensor2.decode(field, dim, code).literal()``, written from the
+    code's base-q digits without building field elements."""
+    q, hexes = field.q, _hex_digits(field.q)
+    out = [""] * (dim * dim)
+    for k in range(dim * dim - 1, -1, -1):
+        code, digit = divmod(code, q)
+        out[k] = hexes[digit]
+    return ",".join(out)
 
 
 def parse_tensor2(field: Field, text: str) -> Tensor2:

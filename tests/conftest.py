@@ -17,14 +17,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def fresh_selector_cache():
     """Each selector's compiled system is cached per process by value
-    (``search.compile_selector``), so a test that patches something the
-    replay of a selector reads starts from an empty cache and leaves an
-    empty one behind."""
-    from baxter import search
+    (``search.compile_selector``), and so are Lemma2.1.1's systems
+    (``claims._lemma211_sides``), so a test that patches something the
+    replay of a selector reads starts from empty caches and leaves empty
+    ones behind."""
+    from baxter import claims, search
 
-    search.compile_selector.cache_clear()
+    caches = (search.compile_selector, claims._lemma211_sides)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    search.compile_selector.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -112,12 +112,12 @@ def test_claim_solves_whole_only_sweeps_of_one_block(monkeypatch):
     assert _digest("Thm0.3-CYBE", res) == GOLDEN["Thm0.3-CYBE"]
     (task,) = tasks
     assert all(spec.workers == 1 for spec in task)
-    # per field: the ab and bd families (q**2 members of q**9 tensors
-    # each), the two dim-2 algebras and commutator_lie(M2); over GF(4) the
-    # families and M2 are larger than their chunk, but one block each
+    # per field: the ab and bd families (q**2 members of q**3 strongly
+    # symmetric tensors v (x) v each), the two dim-2 algebras and
+    # commutator_lie(M2), each swept on the n coordinates of v
     assert [search._codes(spec) for spec in task] == [
-        2 ** 11, 2 ** 11, 2 ** 4, 2 ** 4, 2 ** 16,
-        4 ** 11, 4 ** 11, 4 ** 4, 4 ** 4, 4 ** 16,
+        2 ** 5, 2 ** 5, 2 ** 2, 2 ** 2, 2 ** 4,
+        4 ** 5, 4 ** 5, 4 ** 2, 4 ** 2, 4 ** 4,
     ]
     assert [isinstance(spec.algebra, Family) for spec in task] == [
         True, True, False, False, False] * 2
@@ -416,7 +416,7 @@ def test_lemma211_kernel_count_matches_the_per_tensor_loop(f2, f4):
 
 
 def test_lemma211_broken_diagonal_action_fails_with_the_loop_notes(
-    f2, monkeypatch
+    f2, monkeypatch, fresh_selector_cache
 ):
     # a wrong action that is still generic over ring scalars
     from baxter.cli import main
@@ -456,7 +456,7 @@ def _wrong_diagonal_action(monkeypatch):
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_lemma211_counted_past_the_chunk_gives_the_listed_notes(
-    f4, monkeypatch, caplog, broken
+    f4, monkeypatch, caplog, broken, fresh_selector_cache
 ):
     # GF(4)'s 4**5 codes per family exceed a chunk of 2**8, so every
     # system is counted, and a failing diagonal reading takes its first

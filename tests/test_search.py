@@ -864,8 +864,10 @@ def test_sweeps_that_differ_report_as_cold_runs(f2, f4, tmp_path,
                                                 fresh_selector_cache):
     # Each pair differs in one part of what a sweep's systems depend on.
     # Run after the first, the second sweep hits only the systems the two
-    # share (a domain is conjoined outside the cache), and reports as it
-    # does alone on an empty cache.
+    # share, and reports as it does alone on an empty cache.  A domain
+    # with a parametrisation replays every selector on its tensor, so a
+    # sweep within Im(1 - tau) shares no system with one of the whole
+    # space.
     from dataclasses import replace
 
     from baxter import load_algebra, search
@@ -897,7 +899,7 @@ def test_sweeps_that_differ_report_as_cold_runs(f2, f4, tmp_path,
                       predicate="strongly-symmetric", classifier="symmetric")
             for validate in (lie_validate, assoc_validate)], (2, 0)),
         "domain": ([replace(triangular, domain="im-one-minus-tau"),
-                    triangular], (0, 2)),
+                    triangular], (2, 0)),
         "family": ([SweepSpec(algebra=Family(kind, f2), predicate="cybe",
                               classifier="strongly-symmetric")
                     for kind in ("ab", "bd")], (2, 0)),
@@ -1110,3 +1112,171 @@ def test_counted_sides_report_like_listed_ones(f2, f4):
         assert [[r.canonical_json() for r in reports]
                 for reports in got] == want
     assert any(r.counterexamples for reports in got for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# parametrised domains
+
+
+def _abelian(f, n):
+    from baxter import lie_validate
+    from baxter.algebra import StructureConstants
+
+    return lie_validate(StructureConstants.from_terms(f, n, {}),
+                        label=f"abelian{n}")
+
+
+@pytest.mark.parametrize("param, fields, dims", [
+    ("im-one-minus-tau",
+     ((2, 1, None), (3, 1, None), (2, 2, 0b111), (5, 1, None)), (1, 2, 3)),
+    ("strongly-symmetric",
+     ((2, 1, None), (2, 2, 0b111), (2, 3, 0b1011)), (1, 2, 3)),
+])
+def test_parametrised_domain_is_the_image_of_its_codes(param, fields, dims):
+    # The q^k parameter codes map to q^k distinct encodings, each selected
+    # by the domain's object route: the members the full-space sweep of the
+    # domain lists, ascending where the map says so.
+    from baxter import field, search
+
+    for spec in fields:
+        f = field(*spec)
+        assert search._parametrisation(f, param) == param
+        for n in dims:
+            shape = search._map(f, n, param)
+            codes = np.arange(f.q ** shape.k, dtype=np.uint64)
+            image = search._encodings(shape, codes, 1 << 20).tolist()
+            assert len(set(image)) == f.q ** shape.k, (f, n)
+            member = selector_predicate(_abelian(f, n), param)
+            assert all(member(Tensor2.decode(f, n, e)) for e in image)
+            full = sweep(SweepSpec(algebra=_abelian(f, n), predicate=param,
+                                   keep_solutions=True))
+            assert full.predicate_count == len(image), (f, n)
+            assert full.solutions == sorted(image), (f, n)
+            if shape.ascending:
+                assert image == full.solutions, (f, n)
+
+
+@pytest.mark.parametrize("make, predicate, digest", [
+    (lambda f: make_dim2(f, "nonabelian"), "cybe",
+     "5affbc056cb86532c54c015085e42088cde9729ddb9417095d2f5c050d7ccf45"),
+    (lambda f: make_matrix_algebra(f, 2), "qybe",
+     "7431d7a3841432914e6fb2f4fb44c6e28abf17e192b2104d2f2b287d0d83b0e4"),
+])
+def test_strongly_symmetric_domain_outside_char_2_is_conjoined(
+        f3, make, predicate, digest):
+    # Over GF(3), v -> v (x) v misses the tensors c v (x) v with c not a
+    # square, so the sweep runs on the whole space with the domain's
+    # equations conjoined, and reports byte for byte as it did before
+    # domains were parametrised (digests of that report).
+    import hashlib
+
+    from baxter import search
+
+    spec = SweepSpec(algebra=make(f3), predicate=predicate,
+                     classifier="im-one-minus-tau",
+                     domain="strongly-symmetric", keep_solutions=True)
+    assert search._parametrisation(f3, "strongly-symmetric") is None
+    assert search._codes(spec) == tensor_count(f3, spec.algebra.dim)
+    report = sweep(spec)
+    assert report.total == report.predicate_count == 3 ** spec.algebra.dim
+    assert hashlib.sha256(
+        report.canonical_json().encode()).hexdigest() == digest
+
+
+def _broken_lie(f):
+    """A dim-3 bracket with [e1, e1] = e2: not alternating, so v (x) v no
+    longer solves CYBE identically in v."""
+    from baxter.algebra import LieAlgebra, StructureConstants
+
+    return LieAlgebra(StructureConstants.from_terms(
+        f, 3, {(0, 0): {1: f.one()}}), label="broken")
+
+
+def _conjoined_report(spec, monkeypatch):
+    """``spec`` swept on the whole space with its domain conjoined."""
+    from baxter import search
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_parametrisation", lambda f, domain: None)
+        assert search._codes(spec) == tensor_count(spec.algebra.field,
+                                                   spec.algebra.dim)
+        return sweep(spec)
+
+
+def test_thm03_row_fails_on_a_bracket_that_is_not_alternating(
+        f4, monkeypatch, fresh_selector_cache):
+    # The row pins the ascending counterexamples of the conjoined
+    # full-space sweep: from the listed sides' arrays, and at chunk 1 from
+    # a scan of the member's codes, over GF(4), where v -> v (x) v does not
+    # keep the order of the encodings.
+    from dataclasses import replace
+
+    from baxter import claims, claim_check
+
+    L = _broken_lie(f4)
+    spec = SweepSpec(algebra=L, predicate="cybe",
+                     classifier="strongly-symmetric",
+                     domain="strongly-symmetric", claim="Thm0.3-CYBE")
+    want = _conjoined_report(spec, monkeypatch)
+    assert want.total == 64 and want.class_only_count > COUNTEREXAMPLE_CAP
+    encodings = [c["encoding"] for c in want.counterexamples]
+    assert encodings == sorted(encodings)
+    for chunk in (1, 7, 1 << 20):
+        got = sweep(replace(spec, chunk=chunk))
+        assert got.canonical_json() == want.canonical_json(), chunk
+    thm03 = claims._REGISTRY["Thm0.3-CYBE"]
+    (row,) = thm03.rows
+    monkeypatch.setitem(claims._REGISTRY, "Thm0.3-CYBE", thm03._replace(
+        rows=(replace(row, grid=lambda f: [L]),)))
+    res = claim_check("Thm0.3-CYBE", fields=[f4])
+    assert not res.passed and res.exit_code == 3
+    assert [e["encoding"] for e in res.ledger.to_list()] == encodings
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 20])
+@pytest.mark.parametrize("limit", [None, 5])
+def test_strongly_symmetric_listing_ascends_by_encoding(f4, monkeypatch,
+                                                        chunk, limit):
+    # v -> v (x) v over GF(4): the listing is the smallest encodings,
+    # ascending, listed from an array or scanned, as the conjoined
+    # full-space sweep lists them
+    from dataclasses import replace
+
+    want = sorted(t.encode() for t in strong_symmetric_enumerate(f4, 4))
+    for algebra, predicate in ((make_matrix_algebra(f4, 2), "qybe"),
+                               (_broken_lie(f4), "cybe")):
+        spec = SweepSpec(algebra=algebra, predicate=predicate,
+                         domain="strongly-symmetric", keep_solutions=True,
+                         limit=limit)
+        got = sweep(replace(spec, chunk=chunk))
+        listed = _conjoined_report(spec, monkeypatch)
+        assert got.canonical_json() == listed.canonical_json()
+        assert got.solutions == sorted(got.solutions)
+        assert len(got.solutions) == min(limit or got.predicate_count,
+                                         got.predicate_count)
+    assert listed.predicate_count < 64  # the broken bracket's
+    assert sweep(replace(spec, algebra=make_matrix_algebra(f4, 2),
+                         predicate="qybe")).solutions == want[:limit]
+
+
+def test_parametrised_sweep_is_guarded_by_its_parameter_codes(
+        monkeypatch, fresh_selector_cache):
+    # M2 over GF(16) has 16**16 = 2**64 tensors but 16**4 strongly
+    # symmetric ones: the guard reads the parameter codes, and a sweep
+    # past it fails before any selector is replayed
+    from baxter import field, search
+
+    f16 = field(2, 4, 0b10011)
+    spec = SweepSpec(algebra=make_matrix_algebra(f16, 2), predicate="qybe",
+                     classifier="strongly-symmetric",
+                     domain="strongly-symmetric")
+    assert search._codes(spec) == 16 ** 4
+    monkeypatch.setattr(search, "MAX_SWEEP", 16 ** 4 - 1)
+    with pytest.raises(SweepTooLarge) as err:
+        sweep(spec)
+    assert err.value.total == 16 ** 4
+    assert search.compile_selector.cache_info().misses == 0
+    monkeypatch.setattr(search, "MAX_SWEEP", 16 ** 4)
+    report = sweep(spec)
+    assert (report.total, report.predicate_count, report.agreement) == (
+        16 ** 4, 16 ** 4, True)

@@ -146,3 +146,24 @@ def test_basis_change_dimension_mismatch(f2):
     q = BasisChange(f2, [[o, z], [z, o]])
     with pytest.raises(DimensionMismatch):
         q.apply_t2(Tensor2.zero(f2, 3))
+
+
+def test_encoding_literal_matches_the_decoded_tensor(f2, f3, f4):
+    # every code of the dim-2 spaces of GF(2), GF(3) and GF(4), and a
+    # seeded sample of the dim-3 spaces of GF(5), GF(8) and GF(9)
+    import random
+
+    from baxter import field
+    from baxter.tensor import encoding_literal
+
+    for f in (f2, f3, f4):
+        for code in range(f.q ** 4):
+            assert (encoding_literal(f, 2, code)
+                    == Tensor2.decode(f, 2, code).literal())
+    rng = random.Random(24)
+    for f in (field(5), field(2, 3, 0b1011), field(3, 2, 10)):
+        codes = [0, f.q ** 9 - 1] + [rng.randrange(f.q ** 9)
+                                     for _ in range(500)]
+        for code in codes:
+            assert (encoding_literal(f, 3, code)
+                    == Tensor2.decode(f, 3, code).literal())
