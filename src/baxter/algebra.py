@@ -18,6 +18,7 @@ ring for a :class:`Family`, which a sweep covers in one pass.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -284,23 +285,21 @@ class Family:
 
     :meth:`members` are the algebras :func:`make_family_ab` /
     :func:`make_family_bd` build, in ascending order of the two parameters
-    (the first one major); :meth:`symbolic` is the family as one Lie
-    algebra over a polynomial ring whose variables 0 and 1 are the
-    parameters, so a selector's equations replayed on it hold for exactly
-    the (parameters, tensor) pairs of members and their solutions.
+    (the first one major), built once per family value; :meth:`symbolic`
+    is the family as one Lie algebra over a polynomial ring whose
+    variables 0 and 1 are the parameters, so a selector's equations
+    replayed on it hold for exactly the (parameters, tensor) pairs of
+    members and their solutions.
     """
 
     kind: str
     field: Field
     dim = 3
 
-    def members(self) -> list[LieAlgebra]:
-        """The members in parameter order, not validated one by one: the
-        bracket terms satisfy Jacobi as an identity in the parameters,
-        which :meth:`symbolic` checks, so every member does."""
-        elements = self.field.elements()
-        return [LieAlgebra(*_family_member(self.kind, self.field, x, y))
-                for x in elements for y in elements]
+    def members(self) -> tuple[LieAlgebra, ...]:
+        """The members in parameter order: ``kind(x, y)`` is at index
+        ``x * q + y`` for the encodings ``x`` and ``y``."""
+        return _family_members(self)
 
     def symbolic(self, ring) -> LieAlgebra:
         """The family over ``ring`` (a :class:`~baxter._poly.PolyRing` over
@@ -311,6 +310,15 @@ class Family:
         sc = StructureConstants.from_terms(ring, 3, terms(ring.one(), x, y))
         return lie_validate(sc, label=f"{self.kind}({first},{second})",
                             params=FamilyParams(**{first: x, second: y}))
+
+
+@functools.lru_cache(maxsize=64)
+def _family_members(family: Family) -> tuple[LieAlgebra, ...]:
+    """:meth:`Family.members`, each one Jacobi-checked when the tuple is
+    filled, once per process and family value."""
+    elements = family.field.elements()
+    return tuple(lie_validate(*_family_member(family.kind, family.field, x, y))
+                 for x in elements for y in elements)
 
 
 def make_dim2(field: Field, kind: str) -> LieAlgebra:

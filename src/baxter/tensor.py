@@ -82,14 +82,15 @@ class Tensor2:
 
     @classmethod
     def decode(cls, field: Field, dim: int, code: int) -> "Tensor2":
-        """Inverse of :meth:`encode`."""
-        q = field.q
-        n2 = dim * dim
-        flat = [0] * n2
-        for k in range(n2 - 1, -1, -1):
-            flat[k] = code % q
-            code //= q
-        return cls.from_flat(field, dim, [field.element(v) for v in flat])
+        """Inverse of :meth:`encode`, reading each base-q digit's element
+        from ``field.elements()``."""
+        q, elements = field.q, field.elements()
+        flat = [None] * (dim * dim)
+        for k in range(dim * dim - 1, -1, -1):
+            code, digit = divmod(code, q)
+            flat[k] = elements[digit]
+        return cls(field, dim, [flat[i * dim:(i + 1) * dim]
+                                for i in range(dim)])
 
     # -- access ---------------------------------------------------------------
 

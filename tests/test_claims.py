@@ -196,6 +196,26 @@ def test_lemma02_checks_the_tensors_the_selector_selects(
     assert any("is not symmetric" in n for n in res.notes)
 
 
+def test_lemma02_notes_each_dimension_by_its_own_verdict(
+        f2, monkeypatch, fresh_selector_cache):
+    # with no relations dim 1 still selects its 2 rank-one tensors, while
+    # dims 2 and 3 select every tensor
+    from baxter import ybe
+
+    monkeypatch.setattr(ybe, "strong_symmetry_equations", lambda k, n: [])
+    notes = claim_check("Lemma0.2", fields=[f2]).notes
+    assert [n for n in notes if "round-trip" in n] == [
+        "gf(2) dim 1: 2 strongly symmetric tensors; symmetry and rank-one"
+        " round-trip hold",
+        "gf(2) dim 2: 16 strongly symmetric tensors; symmetry and rank-one"
+        " round-trip fail",
+        "gf(2) dim 3: 512 strongly symmetric tensors; symmetry and rank-one"
+        " round-trip fail",
+    ]
+    assert ("gf(2) dim 2: the rank-one normal form misses 0x0,0x1,0x0,0x0"
+            in notes)
+
+
 def test_row_without_report_still_fails_and_pins(f2):
     from baxter.claims import ClaimResult, _Row, _dim2_algebras, _run_rows
 
@@ -362,7 +382,8 @@ def _lemma211_reference(family, xs=(0, 1, 2)):
 
     f = family.field
     members = family.members()
-    ims = _selected([members[0]], "im-one-minus-tau", 1)[0]
+    ims = [Tensor2.decode(f, 3, code)
+           for code in _selected([members[0]], "im-one-minus-tau", 1)[0]]
     failed = {(mode, x): [] for mode in ("diagonal", "cube") for x in xs}
     notes = []
     for k, L in enumerate(members):
@@ -580,6 +601,94 @@ def test_lemma02_product_identity_catches_a_non_symmetric_construction(
     (note,) = [n for n in res.notes if "product permutation invariance" in n]
     assert "fails" in note
     assert all("hold" in n for n in res.notes if n != note)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_rank1_image_is_the_strongly_symmetric_enumeration(q):
+    # c v (x) v over every (c, v), in one gather, against the object-route
+    # enumeration; without c it misses the non-square multiples over GF(3)
+    # and GF(5)
+    from baxter.claims import _rank1_image
+    from baxter.search import strong_symmetric_enumerate
+
+    f = {2: field(2), 3: field(3), 4: field(2, 2, 0b111), 5: field(5)}[q]
+    for n in (1, 2, 3):
+        image = _rank1_image(f, n)
+        assert image.dtype == np.uint64
+        assert image.tolist() == [
+            t.encode() for t in strong_symmetric_enumerate(f, n)]
+
+
+def test_lemma02_over_gf3_keeps_its_notes(f3):
+    # odd characteristic: the scale c of c v (x) v is needed; exit code and
+    # notes as the per-tensor round trip gave them
+    res = claim_check("Lemma0.2", fields=[f3])
+    assert res.exit_code == 0 and res.passed and res.ledger.is_empty()
+    assert res.notes == [
+        "gf(3) dim 1: 3 strongly symmetric tensors; symmetry and rank-one"
+        " round-trip hold",
+        "gf(3) dim 2: 9 strongly symmetric tensors; symmetry and rank-one"
+        " round-trip hold",
+        "gf(3) dim 3: 27 strongly symmetric tensors; symmetry and rank-one"
+        " round-trip hold",
+        "gf(3) dim 3: product permutation invariance holds across all"
+        " quadruples, as an identity in c, v for k = c v(x)v",
+        "gf(2) dim 3: predicate invariance under the 6 transvections"
+        " I + E_ij, which generate all 168 invertible basis changes, on all"
+        " 512 tensors (holds)",
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_bd_covered_is_the_validated_members_it_replaced(q):
+    # picked by index from the family's members: (0, delta), then (beta, 1)
+    from baxter.algebra import make_family_bd
+    from baxter.claims import _bd_covered
+
+    f = {2: field(2), 4: field(2, 2, 0b111), 8: field(2, 3, 0b1011)}[q]
+    zero, one = f.zero(), f.one()
+    pairs = [(zero, d) for d in f.elements()]
+    pairs.extend((b, one) for b in f.elements() if b != zero)
+    want = [make_family_bd(f, b, d) for b, d in pairs]
+    got = _bd_covered(f)
+    assert [(L.label, L.params, L.sc) for L in got] == [
+        (L.label, L.params, L.sc) for L in want]
+
+
+def test_family_members_are_built_once_per_family_value(f4):
+    from baxter.algebra import make_family_ab
+
+    members = Family("ab", f4).members()
+    assert Family("ab", f4).members() is members
+    assert list(members) == [make_family_ab(f4, x, y)
+                             for x in f4.elements() for y in f4.elements()]
+
+
+def test_lemma02_product_identity_catches_a_symmetric_non_rank_one_construction(
+    f2, monkeypatch
+):
+    # k = c (v (x) v + I) is symmetric, so k (x) k is fixed by the
+    # transposition of the first two keys; the 4-cycle sees that it is not
+    # strongly symmetric
+    from baxter import ybe
+    from baxter._poly import PolyRing
+
+    real = ybe.rank1_tensor
+
+    def shifted(scalars, scale, vector):
+        if not isinstance(scalars, PolyRing):
+            return real(scalars, scale, vector)
+        n = len(vector)
+        return Tensor2(scalars, n, [
+            [scale * (vector[i] * vector[j] + (scalars.one() if i == j
+                                               else scalars.zero()))
+             for j in range(n)] for i in range(n)])
+
+    monkeypatch.setattr(ybe, "rank1_tensor", shifted)
+    res = claim_check("Lemma0.2", fields=[f2])
+    assert not res.passed and res.exit_code == 1
+    (note,) = [n for n in res.notes if "product permutation invariance" in n]
+    assert "fails" in note
 
 
 def test_lemma02_shares_its_sweeps_and_notes_match_across_worker_counts(

@@ -167,3 +167,36 @@ def test_encoding_literal_matches_the_decoded_tensor(f2, f3, f4):
         for code in codes:
             assert (encoding_literal(f, 3, code)
                     == Tensor2.decode(f, 3, code).literal())
+
+
+def test_decode_matches_the_digit_by_digit_path(f2, f3, f4):
+    # decode takes each coefficient from field.elements(); the reference
+    # range-checks each base-q digit and builds a FieldElement for it
+    import random
+
+    from baxter import field
+
+    def by_digits(f, dim, code):
+        flat = [0] * (dim * dim)
+        for k in range(dim * dim - 1, -1, -1):
+            flat[k] = code % f.q
+            code //= f.q
+        return Tensor2.from_flat(f, dim, [f.element(v) for v in flat])
+
+    def same(a, b):
+        return (a.field is b.field and a.dim == b.dim and a == b
+                and all(x.field is y.field and x.value == y.value
+                        for ra, rb in zip(a.rows, b.rows)
+                        for x, y in zip(ra, rb)))
+
+    for f in (f2, f3, f4):
+        for code in range(f.q ** 4):
+            assert same(Tensor2.decode(f, 2, code), by_digits(f, 2, code))
+    rng = random.Random(25)
+    for f in (field(5), field(2, 3, 0b1011), field(3, 2, 10)):
+        codes = [0, f.q ** 9 - 1] + [rng.randrange(f.q ** 9)
+                                     for _ in range(500)]
+        for code in codes:
+            decoded = Tensor2.decode(f, 3, code)
+            assert same(decoded, by_digits(f, 3, code))
+            assert decoded.encode() == code
