@@ -66,10 +66,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .errors import InputError
 from .gf import Field
 
 __all__ = [
     "CompiledSystem",
+    "check_order",
     "compile_polys",
     "solutions_in_range",
     "plan",
@@ -106,6 +108,14 @@ class CompiledSystem(NamedTuple):
         return Field.make(self.p, self.m, self.modulus)
 
 
+def check_order(field) -> None:
+    """Refuse a field whose elements do not fit the kernel's ``uint8``
+    digits, as bad input: callers check before replaying anything over it."""
+    if field.q > _MAX_ORDER:
+        raise InputError(f"sweeps support field orders up to {_MAX_ORDER},"
+                         f" got {field.q}")
+
+
 def compile_polys(ring, polys: Iterable, every: bool = False
                   ) -> CompiledSystem:
     """Freeze symbolic polynomials into a picklable system.
@@ -114,14 +124,11 @@ def compile_polys(ring, polys: Iterable, every: bool = False
     preserving first-occurrence order; with ``every``, each one is kept in
     order, as the coordinates of a map (:func:`poly_values`) need.  A
     monomial of ``_MAX_FACTORS`` or more factors is rejected: its product
-    would not fit the kernel's summed discrete logs.
+    would not fit the kernel's summed discrete logs; so is a ring over a
+    field :func:`check_order` refuses.
     """
     base = ring.base
-    if base.q > _MAX_ORDER:
-        raise ValueError(
-            f"vectorized evaluation supports field orders up to {_MAX_ORDER},"
-            f" got {base.q}"
-        )
+    check_order(base)
     out = []
     seen = set()
     for poly in polys:

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bialgebra, search, ybe
-from ._kernel import compile_polys
+from ._kernel import check_order, compile_polys
 from ._poly import PolyRing
 from .algebra import (
     Family,
@@ -571,15 +571,19 @@ def claim_check(
 ) -> ClaimResult:
     """Run a registered claim suite over the given fields.
 
-    ``fields`` defaults to the claim's registered field list.  With
-    ``workers > 1`` the sweeps of the claim's rows are shared with the
-    helper processes; the result is the same for any worker count.
+    ``fields`` defaults to the claim's registered field list; every suite
+    sweeps each of them on the kernel, so a field of order past its limit
+    is refused before anything runs.  With ``workers > 1`` the sweeps of
+    the claim's rows are shared with the helper processes; the result is
+    the same for any worker count.
     """
     if claim not in _REGISTRY:
         raise UnknownClaim(claim, CLAIM_IDS)
     spec = _REGISTRY[claim]
     fields = [parse_field(f) if isinstance(f, str) else f
               for f in (spec.fields if fields is None else fields)]
+    for f in fields:
+        check_order(f)
     res = ClaimResult(claim, True)
     _run_rows(res, spec.rows, fields, workers)
     if spec.code is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -357,7 +358,11 @@ def _cmd_bialgebra(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``baxter`` argument parser, built once per process: each
+    :func:`main` call parses into a fresh namespace and shares no other
+    state, so a caller running many commands pays for one tree."""
     parser = argparse.ArgumentParser(
         prog="baxter",
         description=(
@@ -433,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (BaxterError, OSError) as exc:

@@ -121,6 +121,7 @@ import numpy as np
 from . import bialgebra, ybe
 from ._kernel import (
     CompiledSystem,
+    check_order,
     compile_polys,
     estimated_solutions,
     plan,
@@ -1122,6 +1123,7 @@ def _plan_sweep(spec: SweepSpec) -> _Planned:
     counted.
     """
     algebra = spec.algebra
+    check_order(algebra.field)
     shape = _shape(spec)
     space = algebra.field.q ** shape.k
     if space > MAX_SWEEP:  # per member, whatever the family's size

@@ -300,3 +300,72 @@ def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: out of memory")
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--field", "gf(257)", "--dim2", "abelian",
+     "--predicate", "cybe", "--limit", "2"],
+    ["enumerate", "--field", "gf(2^9;0b1000010001)", "--dim2", "abelian",
+     "--predicate", "cybe", "--limit", "2"],
+    ["claim", "Prop1.3", "--fields", "gf(257)"],
+])
+def test_field_past_the_kernel_order_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "256" in err
+
+
+def test_verify_past_the_kernel_order_runs_on_the_object_route(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--field", "gf(257)", "--dim2", "abelian",
+        "--tensor", "0x1,0x2,0x3,0x100", "--check", "cybe",
+    )
+    assert code == 0 and "HOLDS" in out
+
+
+def _without_durations(value):
+    if isinstance(value, dict):
+        return {k: _without_durations(v) for k, v in value.items()
+                if k != "duration_ms"}
+    if isinstance(value, list):
+        return [_without_durations(v) for v in value]
+    return value
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys, monkeypatch,
+                                                     tmp_path):
+    from baxter import cli
+
+    path = tmp_path / "abelian3_gf5.alg"
+    path.write_text("field gf(5)\ndim 3\n")
+    listing = ["enumerate", "--algebra", str(path),
+               "--predicate", "strongly-symmetric", "--format", "json"]
+    calls = [
+        listing + ["--limit", "4"],
+        listing + ["--limit", "four"],  # argparse rejects it mid-parse
+        listing,
+        ["claim", "Prop1.3", "--format", "json"],
+    ]
+
+    def outputs():
+        seen = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            out = captured.out and _without_durations(json.loads(captured.out))
+            seen.append((code, out, captured.err))
+        return seen
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = outputs()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert cached == outputs()
+    codes = [code for code, _, _ in cached]
+    assert codes == [0, ("exit", 2), 0, 3]
+    assert len(cached[0][1]["solutions"]) == 4
+    assert len(cached[2][1]["solutions"]) == 125
